@@ -29,6 +29,8 @@ from .projective import (
     point_on_line,
 )
 
+PARALLEL_TOL = 1e-8  # largest sine of the angle between parallel slits
+
 
 def _as_pair(A, name):
     A = np.asarray(A, dtype=float)
@@ -94,21 +96,34 @@ def cameras_equal(cam1, cam2, tol=1e-9):
     return camera_distance(cam1, cam2) < tol
 
 
-def project(camera, x):
-    """Image point (p1.x q2.x, p2.x q1.x, p2.x q2.x)."""
-    x = as_vector(x, 4, "point")
-    p1, p2 = camera.A1
-    q1, q2 = camera.A2
-    u = np.array([(p1 @ x) * (q2 @ x), (p2 @ x) * (q1 @ x), (p2 @ x) * (q2 @ x)])
-    scale = np.linalg.norm(x) ** 2 * np.linalg.norm(camera.A1) * np.linalg.norm(camera.A2)
-    if np.linalg.norm(u) < TOL * scale:
-        nx = np.linalg.norm(x)
-        if np.linalg.norm(camera.A1 @ x) < 1e-7 * nx * np.linalg.norm(camera.A1) or \
-                np.linalg.norm(camera.A2 @ x) < 1e-7 * nx * np.linalg.norm(camera.A2):
+def project_points(camera, points):
+    """Images (p1.x q2.x, p2.x q1.x, p2.x q2.x) of the rows of an (n, 4)
+    point array, as an (n, 3) array; raises if any row has no image."""
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 4:
+        raise ValidationError(f"points must be (n, 4), got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("point has non-finite entries")
+    nx = np.linalg.norm(X, axis=1)
+    if np.any(nx == 0.0):
+        raise ValidationError("point is the zero vector, which has no projective meaning")
+    a, b = (X @ camera.A1.T).T  # p1.x, p2.x
+    c, d = (X @ camera.A2.T).T  # q1.x, q2.x
+    u = np.stack([a * d, b * c, b * d], axis=1)
+    n1, n2 = np.linalg.norm(camera.A1), np.linalg.norm(camera.A2)
+    bad = np.nonzero(np.linalg.norm(u, axis=1) < TOL * nx ** 2 * n1 * n2)[0]
+    if bad.size:
+        k = bad[0]
+        if np.hypot(a[k], b[k]) < 1e-7 * nx[k] * n1 or np.hypot(c[k], d[k]) < 1e-7 * nx[k] * n2:
             raise ValidationError("point lies on a slit; projection undefined")
         raise ValidationError(
             "projection undefined: point lies on the base line p2.x = q2.x = 0")
     return u
+
+
+def project(camera, x):
+    """Image point (p1.x q2.x, p2.x q1.x, p2.x q2.x)."""
+    return project_points(camera, as_vector(x, 4, "point")[None])[0]
 
 
 def slits(camera):
@@ -263,7 +278,7 @@ def _rq_2x3(M, rb=None):
     return K, ra, rb
 
 
-def decompose_parallel(camera, parallel_tol=1e-8):
+def decompose_parallel(camera):
     """Split a parallel-slit camera into intrinsics and euclidean pose data."""
     m31 = camera.A1[1, :3]
     m32 = camera.A2[1, :3]
@@ -271,7 +286,7 @@ def decompose_parallel(camera, parallel_tol=1e-8):
     n2 = np.linalg.norm(m32)
     if n1 < 1e-9 * np.linalg.norm(camera.A1) or n2 < 1e-9 * np.linalg.norm(camera.A2):
         raise ValidationError("a slit lies at infinity; parallel decomposition undefined")
-    if np.linalg.norm(np.cross(m31 / n1, m32 / n2)) > parallel_tol:
+    if np.linalg.norm(np.cross(m31 / n1, m32 / n2)) > PARALLEL_TOL:
         raise ValidationError("slits are not parallel")
 
     A1 = camera.A1 / n1

@@ -16,10 +16,10 @@ from .errors import DegeneracyError, ValidationError
 from . import golden
 from .projective import RetinalFrame, join_points, line_to_image_map, proj_equal
 from .congruence import QuadraticCamera, TwoSlitCongruence, quadratic_project, two_slit_essential
-from .cameras import TwoSlitCamera, decompose_parallel, project
+from .cameras import TwoSlitCamera, decompose_parallel, project_points
 from .epipolar import (
     EpipolarTensor,
-    epipolar_residual,
+    epipolar_residuals,
     estimate_tensor_linear,
     recover_minor_matrices,
     tensor_from_cameras,
@@ -79,8 +79,7 @@ def cmd_project(args):
         raise ValidationError("points must be rows of 3 or 4 coordinates")
     if points.shape[1] == 3:
         points = np.hstack([points, np.ones((len(points), 1))])
-    images = [project(camera, x).tolist() for x in points]
-    _emit_json({"images": images}, args.out)
+    _emit_json({"images": project_points(camera, points).tolist()}, args.out)
     return 0
 
 
@@ -103,8 +102,7 @@ def cmd_tensor(args):
         if corr is None:
             corr = tsio.correspondences_from_dict(data)
         tensor = estimate_tensor_linear(corr)
-        residuals = [abs(epipolar_residual(tensor, row[:3], row[3:]))
-                     for row in corr]
+        residuals = np.abs(epipolar_residuals(tensor, corr))
         out = tsio.tensor_to_dict(tensor)
         out["source"] = "estimated"
         out["n_correspondences"] = int(len(corr))

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera
 
+MIN_CORRESPONDENCES = 15
+
 
 @dataclass(frozen=True, eq=False)
 class EpipolarTensor:
@@ -63,10 +65,15 @@ class EpipolarTensor:
         return EpipolarTensor(v if lead > 0 else -v)
 
 
+def tensor_gap(t1, t2):
+    """Largest entry difference of two tensors at unit norm, over both signs."""
+    a = t1.values / np.linalg.norm(t1.values)
+    b = t2.values / np.linalg.norm(t2.values)
+    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+
+
 def tensors_equal(t1, t2, tol=1e-9):
-    a = t1.normalized().values
-    b = t2.normalized().values
-    return float(np.max(np.abs(a - b))) < tol
+    return tensor_gap(t1, t2) < tol
 
 
 _MINOR_COLS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -97,28 +104,41 @@ def tensor_from_cameras(camA, camB):
     return EpipolarTensor(F)
 
 
-def _factors(u, v):
-    u = np.asarray(u, float).reshape(3)
-    v = np.asarray(v, float).reshape(3)
-    return (np.array([u[0], u[2]]), np.array([u[1], u[2]]),
-            np.array([v[0], v[2]]), np.array([v[1], v[2]]))
+def _as_correspondences(correspondences):
+    corr = np.asarray(correspondences, dtype=float)
+    if corr.ndim != 2 or corr.shape[1] != 6:
+        raise ValidationError(f"correspondences must be (n, 6), got {corr.shape}")
+    if not np.all(np.isfinite(corr)):
+        raise ValidationError("correspondences contain non-finite values")
+    return corr
+
+
+def _factors(corr):
+    """The 2-vector factors (u1,u3), (u2,u3), (v1,v3), (v2,v3) of (n, 6)
+    correspondence rows as a (4, n, 2) array, in tensor mode order."""
+    return corr[:, [0, 2, 1, 2, 3, 5, 4, 5]].reshape(-1, 4, 2).transpose(1, 0, 2)
+
+
+def epipolar_residuals(tensor, correspondences, normalized=True):
+    """Multilinear form on each row of an (n, 6) correspondence array;
+    ~0 where consistent.
+
+    With normalized=True each value is divided by the norms of the four
+    2-vector factors and of the tensor, making it scale invariant.
+    """
+    factors = _factors(_as_correspondences(correspondences))
+    val = np.einsum("ijkl,ni,nj,nk,nl->n", tensor.values, *factors)
+    if not normalized:
+        return val
+    denom = np.prod(np.linalg.norm(factors, axis=2), axis=0) * np.linalg.norm(tensor.values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, np.inf, val / denom)
 
 
 def epipolar_residual(tensor, u, v, normalized=True):
-    """Multilinear form evaluated on a correspondence; ~0 when consistent.
-
-    With normalized=True the value is divided by the norms of the four
-    2-vector factors and of the tensor, making it scale invariant.
-    """
-    a, b, c, d = _factors(u, v)
-    val = float(np.einsum("ijkl,i,j,k,l", tensor.values, a, b, c, d))
-    if not normalized:
-        return val
-    denom = (np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
-             * np.linalg.norm(d) * np.linalg.norm(tensor.values))
-    if denom == 0.0:
-        return np.inf
-    return val / denom
+    """Multilinear form evaluated on a correspondence; ~0 when consistent."""
+    row = np.append(np.reshape(u, 3), np.reshape(v, 3))
+    return float(epipolar_residuals(tensor, row[None], normalized)[0])
 
 
 def multilinear_transform(tensor_values, matrices):
@@ -127,58 +147,49 @@ def multilinear_transform(tensor_values, matrices):
     Returns G with G[i',j',k',l'] = sum M1[i,i'] M2[j,j'] M3[k,k'] M4[l,l']
     F[i,j,k,l]; composing transforms multiplies the matrices.
     """
-    G = np.asarray(tensor_values, float)
-    for mode, M in enumerate(matrices):
-        G = np.moveaxis(np.tensordot(np.asarray(M, float), G, axes=([0], [mode])),
-                        0, mode)
-    return G
+    M1, M2, M3, M4 = (np.asarray(M, float) for M in matrices)
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", np.asarray(tensor_values, float), M1, M2, M3, M4)
 
 
-def estimate_tensor_linear(correspondences, min_count=15):
+def estimate_tensor_linear(correspondences):
     """Least-squares tensor from image correspondences.
 
-    correspondences is (n, 6): columns u1, u2, u3, v1, v2, v3. The
-    2-vector factors are rescaled componentwise to unit RMS before
-    building the design matrix, and the estimate is mapped back
-    afterwards; this is plain conditioning, the solution is unchanged
-    in exact arithmetic.
+    correspondences is (n, 6): columns u1, u2, u3, v1, v2, v3. Each
+    2-vector factor is centred and scaled to unit RMS by a 2x2 map
+    before building the design matrix, and the estimate is mapped back
+    afterwards; this is plain conditioning that makes the estimate
+    commute with translations and scalings of each image coordinate.
     """
-    corr = np.asarray(correspondences, dtype=float)
-    if corr.ndim != 2 or corr.shape[1] != 6:
-        raise ValidationError(f"correspondences must be (n, 6), got {corr.shape}")
+    corr = _as_correspondences(correspondences)
     n = corr.shape[0]
-    if n < min_count:
+    if n < MIN_CORRESPONDENCES:
         raise ValidationError(
-            f"need at least {min_count} correspondences, got {n}")
-    if not np.all(np.isfinite(corr)):
-        raise ValidationError("correspondences contain non-finite values")
+            f"need at least {MIN_CORRESPONDENCES} correspondences, got {n}")
 
-    a = corr[:, [0, 2]]
-    b = corr[:, [1, 2]]
-    c = corr[:, [3, 5]]
-    d = corr[:, [4, 5]]
-
-    scalers = []
-    factors = []
-    for block in (a, b, c, d):
-        rms = np.sqrt(np.mean(block ** 2, axis=0))
-        rms[rms < 1e-14 * max(rms.max(), 1.0)] = 1.0
-        scalers.append(np.diag(1.0 / rms))
-        factors.append(block / rms)
-
-    fa, fb, fc, fd = factors
-    design = np.einsum("ni,nj,nk,nl->nijkl", fa, fb, fc, fd).reshape(n, 16)
+    # per mode, (x, w) -> (x - m w, w) with m the least-squares fit of x
+    # by m w, which centres x, then both columns to unit RMS
+    f = _factors(corr)
+    x, w = f[..., 0], f[..., 1]
+    maps = np.zeros((4, 2, 2))
+    maps[:, 0, 0] = maps[:, 1, 1] = 1.0
+    maps[:, 0, 1] = -np.sum(x * w, axis=1) / np.maximum(np.sum(w * w, axis=1), 1e-300)
+    rms = np.sqrt(np.mean((f @ maps.transpose(0, 2, 1)) ** 2, axis=1))
+    rms[rms < 1e-14 * np.maximum(rms.max(axis=1, keepdims=True), 1.0)] = 1.0
+    maps /= rms[:, :, None]
+    factors = f @ maps.transpose(0, 2, 1)
+    design = np.einsum("ni,nj,nk,nl->nijkl", *factors).reshape(n, 16)
     norms = np.linalg.norm(design, axis=1, keepdims=True)
     if np.any(norms < 1e-300):
         raise ValidationError("a correspondence has an identically zero factor")
     design /= norms
-    _, s, Vt = np.linalg.svd(design, full_matrices=False)
+    # with 15 rows only the full factorization holds the 16th row of Vt;
+    # U is then at most 15x15
+    _, s, Vt = np.linalg.svd(design, full_matrices=n < 16)
     if s[14] < 1e-9 * s[0]:
         raise DegeneracyError(
             "correspondences do not determine the tensor (solution space has "
             "dimension > 1; degenerate scene such as coplanar points)")
-    est = Vt[15].reshape(2, 2, 2, 2)
-    est = multilinear_transform(est, scalers)
+    est = multilinear_transform(Vt[15].reshape(2, 2, 2, 2), maps)
     return EpipolarTensor(est).normalized()
 
 

@@ -16,16 +16,15 @@ import numpy as np
 from .errors import DegeneracyError, TwoSlitError, ValidationError
 from .cameras import TwoSlitCamera, apply_space_transform, camera_distance
 from .epipolar import (
-    EpipolarTensor,
     cameras_from_minor_matrix,
-    epipolar_residual,
+    epipolar_residuals,
     estimate_tensor_linear,
     normal_form_transform,
     recover_minor_matrices,
     tensor_from_cameras,
-    tensors_equal,
+    tensor_gap,
 )
-from .selfcal import estimate_daq, extract_upgrade, similarity_defect
+from .selfcal import DualAbsoluteQuadric, estimate_daq, extract_upgrade, similarity_defect
 from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
@@ -63,10 +62,6 @@ class SfmReport:
 
 def _configuration_entry(minor, residual, tensor, correspondences, truth, W):
     camA, camB = cameras_from_minor_matrix(minor)
-    ft = tensor_from_cameras(camA, camB).normalized()
-    gap = float(np.max(np.abs(ft.values - tensor.normalized().values)))
-    # the normalized sign may differ; take the better of both signs
-    gap = min(gap, float(np.max(np.abs(ft.values + tensor.normalized().values))))
     entry = {
         "minor_matrix": minor.matrix.tolist(),
         "recovery_residual": float(residual),
@@ -74,7 +69,7 @@ def _configuration_entry(minor, residual, tensor, correspondences, truth, W):
             "A1": camA.A1.tolist(), "A2": camA.A2.tolist(),
             "B1": camB.A1.tolist(), "B2": camB.A2.tolist(),
         },
-        "tensor_gap": gap,
+        "tensor_gap": tensor_gap(tensor_from_cameras(camA, camB), tensor),
         "camera_gap": None,
     }
     if truth is not None:
@@ -91,8 +86,7 @@ def run_sfm_pipeline(correspondences, report, truth=None):
     corr = np.asarray(correspondences, float)
     tensor = estimate_tensor_linear(corr)
     report.estimated_tensor = tensor.flat().tolist()
-    residuals = np.array([
-        abs(epipolar_residual(tensor, row[:3], row[3:])) for row in corr])
+    residuals = np.abs(epipolar_residuals(tensor, corr))
     report.residual_mean = float(residuals.mean())
     report.residual_max = float(residuals.max())
     candidates = recover_minor_matrices(tensor)
@@ -171,12 +165,6 @@ class SelfcalReport:
         return asdict(self)
 
 
-def _normalized_daq_matrix(M):
-    M = np.asarray(M, float)
-    M = M / np.linalg.norm(M)
-    return M if M[0, 0] >= 0 else -M
-
-
 def run_selfcal_experiment(config=SelfcalConfig()):
     """Scramble calibrated cameras by a projective frame, add noise,
     and measure how well self-calibration undoes it."""
@@ -216,9 +204,8 @@ def run_selfcal_experiment(config=SelfcalConfig()):
 
         daq = estimate_daq(noisy)
         report.daq = daq.matrix.tolist()
-        truth = _normalized_daq_matrix(Q @ np.diag([1.0, 1, 1, 0]) @ Q.T)
-        est = _normalized_daq_matrix(daq.matrix)
-        report.daq_true_gap = float(np.max(np.abs(est - truth)))
+        truth = DualAbsoluteQuadric(Q @ np.diag([1.0, 1, 1, 0]) @ Q.T).matrix
+        report.daq_true_gap = float(np.max(np.abs(daq.matrix - truth)))
 
         upgrade = extract_upgrade(daq, noisy)
         report.eigenvalues = upgrade.eigenvalues.tolist()

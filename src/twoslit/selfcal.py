@@ -20,6 +20,8 @@ from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _rq_2x3
 
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
+DEGENERACY_TOL = 1e-6  # smallest ratio s9/s1 of the constraint system
+RANK_TOL = 1e-3  # eigenvalue ratio that separates the quadric's zero from its rank-3 part
 
 _SYM_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
               (2, 2), (2, 3), (3, 3)]
@@ -65,16 +67,13 @@ def _constraint_row(A):
     return row
 
 
-def estimate_daq(cameras, principal_point_at_origin=True, degeneracy_tol=1e-6):
+def estimate_daq(cameras):
     """Least-squares dual quadric from centered parallel cameras.
 
     Needs at least five cameras (two equations each, ten unknowns up
     to scale). Raises DegeneracyError when the equations leave more
     than a one-dimensional solution space (degenerate motion).
     """
-    if not principal_point_at_origin:
-        raise ValidationError(
-            "only the centered prior (principal point at the origin) is supported")
     cameras = list(cameras)
     if len(cameras) < 5:
         raise ValidationError(
@@ -89,7 +88,7 @@ def estimate_daq(cameras, principal_point_at_origin=True, degeneracy_tol=1e-6):
             rows.append(r / nr)
     design = np.stack(rows)
     _, s, Vt = np.linalg.svd(design, full_matrices=False)
-    if s[8] < degeneracy_tol * s[0]:
+    if s[8] < DEGENERACY_TOL * s[0]:
         raise DegeneracyError(
             "camera motion is degenerate for self-calibration: the constraint "
             "system has a solution space of dimension > 1")
@@ -112,7 +111,7 @@ class UpgradeResult:
     magnifications: list  # row-norm ratio per camera matrix pair
 
 
-def extract_upgrade(daq, cameras, rank_tol=1e-3):
+def extract_upgrade(daq, cameras):
     """Factor the quadric and upgrade the cameras with it.
 
     The eigendecomposition must show three decisively positive
@@ -123,10 +122,10 @@ def extract_upgrade(daq, cameras, rank_tol=1e-3):
     lam, V = daq.eigen()
     if lam[0] <= 0:
         raise DegeneracyError("quadric estimate has no positive eigenvalue")
-    if abs(lam[3]) > rank_tol * lam[0]:
+    if abs(lam[3]) > RANK_TOL * lam[0]:
         raise DegeneracyError(
             f"quadric is not rank 3 within tolerance: |l4/l1| = {abs(lam[3]/lam[0]):.3e}")
-    if lam[2] <= rank_tol * lam[0]:
+    if lam[2] <= RANK_TOL * lam[0]:
         raise DegeneracyError(
             "quadric is indefinite or rank deficient: third eigenvalue is not "
             "decisively positive")

@@ -13,10 +13,13 @@ import numpy as np
 
 from . import golden
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, apply_space_transform, inverse_ray, project
+from .cameras import TwoSlitCamera, apply_space_transform, inverse_ray, project, project_points
+from .epipolar import _as_correspondences, _factors
 from .projective import primal_matrix
 
 RNG_ALGORITHM = "numpy-PCG64"
+STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
+MAX_PASSES = 50  # residual evaluations per point after the start, at most
 
 
 def reference_camera_pair():
@@ -89,7 +92,7 @@ def _rescale_to_image(camera, points, target_rms):
     The first image coordinate is the row ratio of the first matrix and
     the second that of the second matrix, so the two scales are
     independent."""
-    us = np.stack([project(camera, x) for x in points])
+    us = project_points(camera, points)
     inhom = us[:, :2] / us[:, 2:3]
     rms = np.sqrt(np.mean(inhom ** 2, axis=0))
     scales = np.where(rms > 1e-12, target_rms / np.maximum(rms, 1e-12), 1.0)
@@ -133,12 +136,9 @@ def generate_scene(config=SceneConfig(), cameras=None):
     camA = _rescale_to_image(camA, points, config.image_scale)
     camB = _rescale_to_image(camB, points, config.image_scale)
 
-    clean = np.empty((config.n_points, 6))
-    for n, x in enumerate(points):
-        ua = project(camA, x)
-        ub = project(camB, x)
-        clean[n, :3] = ua / ua[2]
-        clean[n, 3:] = ub / ub[2]
+    ua = project_points(camA, points)
+    ub = project_points(camB, points)
+    clean = np.hstack([ua / ua[:, 2:], ub / ub[:, 2:]])
 
     noisy = clean.copy()
     if config.noise_sigma > 0:
@@ -202,95 +202,81 @@ def triangulate_correspondence(camA, camB, u, v):
     return triangulate_rays([inverse_ray(camA, u), inverse_ray(camB, v)])
 
 
-def _image_residual_jacobian(camera, x, target):
-    p1, p2 = camera.A1
-    q1, q2 = camera.A2
-    a, b, c, d = p1 @ x, p2 @ x, q1 @ x, q2 @ x
-    w = np.array([a * d, b * c, b * d])
-    if abs(w[2]) < 1e-14 * max(float(np.linalg.norm(w)), 1e-300):
-        return None, None
-    grads = np.stack([p1 * d + q2 * a, p2 * c + q1 * b, p2 * d + q2 * b])
-    r = w[:2] / w[2] - target
-    J = (grads[:2] * w[2] - np.outer(w[:2], grads[2])) / w[2] ** 2
+def _linearize(N, D, t, x):
+    """Residuals (N.x)/(D.x) - t at the rows of x, inf where a point
+    images at infinity, and their (n, 4, 4) Jacobians."""
+    num, den = x @ N.T, x @ D.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(np.abs(den) > 1e-14 * np.hypot(num, den), num / den - t, np.inf)
+        J = (N * den[..., None] - D * num[..., None]) / (den ** 2)[..., None]
     return r, J
 
 
-def refine_triangulation(camA, camB, u, v, x0=None, iterations=12):
-    """Polish a triangulated point against the image residuals.
+def _gauss_newton_steps(J, r):
+    """Minimum-norm solutions of J s = -r. The residuals are homogeneous
+    of degree 0, so J x = 0: pinv drops x and each step is tangent to
+    the unit sphere at its point."""
+    return -np.einsum("nij,nj->ni", np.linalg.pinv(J, rcond=1e-12), r)
 
-    Gauss-Newton on the unit sphere of homogeneous coordinates with
-    step halving. Starts from the closest-point triangulation when no
-    initial point is given (falling back to a point of the first
-    viewing ray if the rays are near parallel) and returns the refined
-    homogeneous point. The polish matters in skewed projective frames,
-    where the closest-point solution can slide far along the rays.
+
+def triangulate_points(camA, camB, correspondences):
+    """Unit homogeneous points (n, 4) of (n, 6) correspondences, and
+    their residuals (n, 4): reprojected minus measured u1/u3, u2/u3,
+    v1/v3 and v2/v3.
+
+    Each image coordinate fixes a plane through the point, such as
+    u3 p1 - u1 p2 for u1/u3. A point starts at the least-squares common
+    point of its four unit planes, exact for noiseless data, and
+    Gauss-Newton on the unit sphere refines all points at once, halving
+    a point's step until it lowers the residual. A point stops after
+    trying a step shorter than STEP_TOL.
     """
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    if x0 is None:
-        try:
-            x0, _ = triangulate_correspondence(camA, camB, u, v)
-        except DegeneracyError:
-            p, _ = line_point_direction(inverse_ray(camA, u))
-            x0 = np.append(p, 1.0)
-    targets = (u[:2] / u[2], v[:2] / v[2])
-
-    def evaluate(x):
-        rs, Js = [], []
-        for cam, target in ((camA, targets[0]), (camB, targets[1])):
-            r, J = _image_residual_jacobian(cam, x, target)
-            if r is None:
-                return None, None
-            rs.append(r)
-            Js.append(J)
-        return np.concatenate(rs), np.vstack(Js)
-
-    x = np.asarray(x0, float)
-    x = x / np.linalg.norm(x)
-    r, J = evaluate(x)
-    if r is None:
+    z, w = _factors(_as_correspondences(correspondences)).transpose(2, 1, 0)
+    if np.any(np.abs(w) <= 1e-14 * np.abs(z)):
+        raise DegeneracyError("a measured image point lies at infinity")
+    N = np.stack([camA.A1[0], camA.A2[0], camB.A1[0], camB.A2[0]])
+    D = np.stack([camA.A1[1], camA.A2[1], camB.A1[1], camB.A2[1]])
+    planes = w[..., None] * N - z[..., None] * D
+    planes /= np.linalg.norm(planes, axis=2, keepdims=True)
+    x = np.linalg.svd(planes)[2][:, 3]
+    t = z / w
+    r, J = _linearize(N, D, t, x)
+    if not np.all(np.isfinite(r)):
         raise DegeneracyError("triangulated point projects to infinity")
-    cost = float(r @ r)
-    for _ in range(iterations):
-        tangent = np.eye(4) - np.outer(x, x)
-        step, *_ = np.linalg.lstsq(J @ tangent, -r, rcond=None)
-        step = tangent @ step
-        t = 1.0
-        improved = False
-        for _ in range(20):
-            xn = x + t * step
-            nxn = np.linalg.norm(xn)
-            if nxn > 1e-14:
-                rn, Jn = evaluate(xn / nxn)
-                if rn is not None and float(rn @ rn) < cost:
-                    x, r, J, cost = xn / nxn, rn, Jn, float(rn @ rn)
-                    improved = True
-                    break
-            t *= 0.5
-        if not improved or cost < 1e-30:
+    cost = np.sum(r * r, axis=1)
+    step = _gauss_newton_steps(J, r)
+    length = np.ones(len(x))
+    live = np.arange(len(x))
+    for _ in range(MAX_PASSES):
+        if not live.size:
             break
-    return x
+        tried = length[live] * np.linalg.norm(step[live], axis=1)
+        trial = x[live] + length[live, None] * step[live]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        rt, Jt = _linearize(N, D, t[live], trial)
+        ct = np.sum(rt * rt, axis=1)
+        better = ct < cost[live]
+        won = live[better]
+        x[won], r[won], cost[won] = trial[better], rt[better], ct[better]
+        step[won] = _gauss_newton_steps(Jt[better], rt[better])
+        length[won] = 1.0
+        length[live[~better]] *= 0.5
+        live = live[tried >= STEP_TOL]
+    return x, r
 
 
-def reprojection_rms(camA, camB, correspondences, refine=True):
-    """RMS of reprojected-minus-measured inhomogeneous image coordinates.
+def refine_triangulation(camA, camB, u, v):
+    """Unit homogeneous point triangulated from one correspondence by
+    triangulate_points."""
+    row = np.append(np.reshape(u, 3), np.reshape(v, 3))
+    return triangulate_points(camA, camB, row[None])[0][0]
 
-    Points are triangulated as the closest point to the two viewing
-    rays and, by default, polished against the image residuals."""
-    errs = []
-    for row in np.asarray(correspondences, float):
-        u, v = row[:3], row[3:]
-        if refine:
-            x = refine_triangulation(camA, camB, u, v)
-        else:
-            x, _ = triangulate_correspondence(camA, camB, u, v)
-        for cam, meas in ((camA, u), (camB, v)):
-            w = project(cam, x)
-            if abs(w[2]) < 1e-12 * np.linalg.norm(w):
-                raise DegeneracyError("reprojected point is at infinity")
-            errs.append(w[:2] / w[2] - meas[:2] / meas[2])
-    errs = np.stack(errs)
-    return float(np.sqrt(np.mean(errs ** 2)))
+
+def reprojection_rms(camA, camB, correspondences):
+    """RMS of reprojected-minus-measured inhomogeneous image coordinates
+    of the points triangulate_points finds."""
+    _, r = triangulate_points(camA, camB, correspondences)
+    return float(np.sqrt(np.mean(r ** 2)))
 
 
 def random_rotation(rng):

@@ -223,3 +223,12 @@ def test_verify_paper_all_pass(capsys):
     assert "7/7 reference checks passed" in out
     assert out.count("PASS") == 7
     assert "FAIL" not in out
+
+
+def test_tensor_from_fifteen_csv_rows(capsys, tmp_path):
+    corr = tmp_path / "c.csv"
+    run(capsys, "synth", "--points", "15", "--seed", "5",
+        "--format", "csv", "--out", str(corr))
+    code, out, _ = run(capsys, "tensor", "--in", str(corr))
+    assert code == 0
+    assert json.loads(out)["n_correspondences"] == 15

@@ -16,6 +16,7 @@ from twoslit.epipolar import (
     MinorMatrix,
     cameras_from_minor_matrix,
     epipolar_residual,
+    epipolar_residuals,
     essential_compose,
     essential_decompose,
     estimate_tensor_linear,
@@ -23,11 +24,13 @@ from twoslit.epipolar import (
     normal_form_transform,
     recover_minor_matrices,
     tensor_from_cameras,
+    tensor_gap,
     tensors_equal,
     transpose_conjugate,
     two_configurations,
 )
 from twoslit.errors import DegeneracyError, ValidationError
+from twoslit.synthetic import SceneConfig, generate_scene
 from twoslit.golden import (
     REFERENCE_CONFIG_A,
     REFERENCE_CONFIG_B,
@@ -398,3 +401,53 @@ def test_essential_round_trip_property(Ks):
     t = EpipolarTensor(REFERENCE_TENSOR)
     back = essential_compose(essential_decompose(t, *Ks), *Ks)
     assert tensors_equal(back, t, tol=1e-6)
+
+
+def test_fifteen_noiseless_rows_give_the_true_tensor(reference_pair, rng):
+    camA, camB = reference_pair
+    corr = correspondences_for(camA, camB, rng, 15)
+    assert tensors_equal(estimate_tensor_linear(corr),
+                         tensor_from_cameras(camA, camB), tol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_offset_images_are_not_degenerate(seed):
+    scene = generate_scene(SceneConfig(n_points=100, noise_sigma=1e-3, seed=seed,
+                                       image_scale=100))
+    corr = scene.correspondences.copy()
+    corr[:, [0, 1, 3, 4]] += 1e4
+    shift = np.linalg.inv([[1.0, 1e4], [0.0, 1.0]])
+    expected = multilinear_transform(
+        estimate_tensor_linear(scene.correspondences).values, [shift] * 4)
+    assert tensor_gap(estimate_tensor_linear(corr), EpipolarTensor(expected)) < 1e-8
+
+
+@given(scales=st.lists(st.floats(0.05, 20.0), min_size=4, max_size=4),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
+       shifts=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+       seed=st.integers(0, 50))
+@settings(max_examples=60, deadline=None)
+def test_estimate_commutes_with_image_affinities(scales, signs, shifts, seed):
+    """Moving image coordinate k to s u_k + t u_3 moves the estimate to
+    the tensor contracted with the inverse map in mode k."""
+    scene = generate_scene(SceneConfig(n_points=40, noise_sigma=1e-3, seed=seed))
+    corr = scene.correspondences
+    maps = [np.array([[sign * s, t], [0.0, 1.0]])
+            for s, sign, t in zip(scales, signs, shifts)]
+    moved = corr.copy()
+    for col, w, M in zip((0, 1, 3, 4), (2, 2, 5, 5), maps):
+        moved[:, col] = M[0, 0] * corr[:, col] + M[0, 1] * corr[:, w]
+    expected = multilinear_transform(estimate_tensor_linear(corr).values,
+                                     [np.linalg.inv(M) for M in maps])
+    assert tensor_gap(estimate_tensor_linear(moved), EpipolarTensor(expected)) < 1e-8
+
+
+def test_residual_kernel_matches_rows(reference_pair, rng):
+    camA, camB = reference_pair
+    corr = correspondences_for(camA, camB, rng, 10) + rng.normal(0, 1e-3, (10, 6))
+    t = tensor_from_cameras(camA, camB)
+    for normalized in (True, False):
+        values = epipolar_residuals(t, corr, normalized=normalized)
+        for row, value in zip(corr, values):
+            assert value == epipolar_residual(t, row[:3], row[3:], normalized=normalized)
+    assert epipolar_residuals(t, np.zeros((1, 6)))[0] == np.inf

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from twoslit.cameras import TwoSlitCamera, decompose_parallel, inverse_ray, is_parallel, project
+from twoslit.cameras import (
+    TwoSlitCamera,
+    decompose_parallel,
+    inverse_ray,
+    is_parallel,
+    project,
+    project_points,
+)
+from twoslit.epipolar import epipolar_residual, epipolar_residuals, tensor_from_cameras
 from twoslit.errors import DegeneracyError, ValidationError
+from twoslit.experiments import run_sfm_experiment
 from twoslit.projective import join_points, point_on_line, proj_equal
 from twoslit.synthetic import (
     RNG_ALGORITHM,
@@ -21,6 +30,7 @@ from twoslit.synthetic import (
     reprojection_rms,
     rotation_about_axis,
     triangulate_correspondence,
+    triangulate_points,
     triangulate_rays,
 )
 from twoslit import golden
@@ -192,3 +202,99 @@ class TestEuclideanBuilders:
             f2 = np.linalg.norm(cam.A2[0, :3]) / np.linalg.norm(cam.A2[1, :3])
             assert np.isclose(f1, K1[0, 0])
             assert np.isclose(f2, K2[0, 0])
+
+
+def measured_and_reprojected(camA, camB, x, row):
+    """Image residuals of a point through the scalar projection."""
+    ua, ub = project(camA, x), project(camB, x)
+    return np.concatenate([ua[:2] / ua[2] - row[:2] / row[2],
+                           ub[:2] / ub[2] - row[3:5] / row[5]])
+
+
+def projective_gap(X, P):
+    """Largest row distance of two point arrays at unit norm, up to sign."""
+    X = X / np.linalg.norm(X, axis=1, keepdims=True)
+    P = P / np.linalg.norm(P, axis=1, keepdims=True)
+    return float(np.max(np.minimum(np.linalg.norm(X - P, axis=1),
+                                   np.linalg.norm(X + P, axis=1))))
+
+
+class TestTriangulationKernel:
+    # (points, sigma, seeds) of the no-truth regression sweep
+    NO_TRUTH_RUNS = ((70, 0.0, range(20)), (200, 1e-5, range(20)),
+                     (70, 1e-4, range(40)))
+
+    @pytest.mark.parametrize("n, sigma, seeds", NO_TRUTH_RUNS)
+    def test_no_truth_runs_succeed(self, n, sigma, seeds):
+        """Both recovered configurations explain the images equally well,
+        so their refined reprojection errors agree; a refinement that
+        stops short of the minimum breaks the agreement."""
+        failed = []
+        for seed in seeds:
+            scene = generate_scene(SceneConfig(
+                n_points=n, noise_sigma=sigma, seed=seed, image_scale=100))
+            report = run_sfm_experiment(correspondences=scene.correspondences)
+            if not report.ok:
+                failed.append((seed, report.error))
+                continue
+            a, b = (c["reprojection_rms"] for c in report.configurations)
+            if abs(a - b) > 1e-6 * max(a, b) + 1e-9:
+                failed.append((seed, a, b))
+        assert failed == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noiseless_points_are_exact(self, seed):
+        scene = generate_scene(SceneConfig(n_points=40, noise_sigma=0.0, seed=seed,
+                                           image_scale=100))
+        X, r = triangulate_points(*scene.cameras, scene.correspondences)
+        assert projective_gap(X, scene.points) < 1e-9
+        assert np.max(np.abs(r)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noisy_points_are_stationary(self, seed):
+        scene = generate_scene(SceneConfig(n_points=25, noise_sigma=1e-3, seed=seed,
+                                           image_scale=100))
+        camA, camB = scene.cameras
+        X, R = triangulate_points(camA, camB, scene.correspondences)
+        h = 1e-6
+        for x, row, r in zip(X, scene.correspondences, R):
+            assert np.allclose(measured_and_reprojected(camA, camB, x, row), r,
+                               rtol=0, atol=1e-10)
+            J = np.stack([(measured_and_reprojected(camA, camB, x + h * e, row)
+                           - measured_and_reprojected(camA, camB, x - h * e, row))
+                          / (2 * h) for e in np.eye(4)], axis=1)
+            # J^T r = 0 up to a Gauss-Newton step of 1e-9 on the unit sphere
+            assert np.linalg.norm(J.T @ r) < 1e-9 * np.linalg.norm(J, 2) ** 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_array_kernels_match_scalar_calls(self, seed, reference_pair):
+        rng = np.random.default_rng(seed)
+        scene = generate_scene(SceneConfig(n_points=12, noise_sigma=1e-4, seed=seed))
+        for camA, camB in (scene.cameras, reference_pair):
+            points = np.hstack([rng.uniform(-4, 4, (12, 3)), np.ones((12, 1))])
+            for cam in (camA, camB):
+                images = project_points(cam, points)
+                for x, u in zip(points, images):
+                    assert np.allclose(u, project(cam, x), rtol=1e-12, atol=0)
+            corr = np.hstack([project_points(camA, points), project_points(camB, points)])
+            corr[:, [0, 1, 3, 4]] += rng.normal(0, 1e-4, (12, 4)) * corr[:, [2, 2, 5, 5]]
+            tensor = tensor_from_cameras(camA, camB)
+            values = epipolar_residuals(tensor, corr)
+            _, R = triangulate_points(camA, camB, corr)
+            for row, value, r in zip(corr, values, R):
+                assert abs(value - epipolar_residual(tensor, row[:3], row[3:])) \
+                    <= 1e-12 * max(abs(value), 1e-300)
+                # a point is fixed only to rounding along weak directions,
+                # so the one-row triangulation is compared in the image
+                x = refine_triangulation(camA, camB, row[:3], row[3:])
+                assert np.allclose(measured_and_reprojected(camA, camB, x, row), r,
+                                   rtol=0, atol=1e-9)
+
+    def test_image_point_at_infinity_is_degenerate(self):
+        scene = generate_scene(SceneConfig(n_points=20, noise_sigma=0.0, seed=1))
+        corr = scene.correspondences.copy()
+        corr[4, 2] = 0.0
+        with pytest.raises(DegeneracyError, match="measured image point"):
+            reprojection_rms(*scene.cameras, corr)
+        with pytest.raises(DegeneracyError, match="measured image point"):
+            refine_triangulation(*scene.cameras, corr[4, :3], corr[4, 3:])
