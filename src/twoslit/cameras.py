@@ -96,6 +96,18 @@ def cameras_equal(cam1, cam2, tol=1e-9):
     return camera_distance(cam1, cam2) < tol
 
 
+def _images(camera, X):
+    """Images of the rows of a finite, nonzero (n, 4) point array, and
+    the mask of rows that have one. A row off the mask lies on a slit or
+    on the base line p2.x = q2.x = 0."""
+    a, b = (X @ camera.A1.T).T  # p1.x, p2.x
+    c, d = (X @ camera.A2.T).T  # q1.x, q2.x
+    u = np.stack([a * d, b * c, b * d], axis=1)
+    n1, n2 = np.linalg.norm(camera.A1), np.linalg.norm(camera.A2)
+    nx = np.linalg.norm(X, axis=1)
+    return u, np.linalg.norm(u, axis=1) >= TOL * nx ** 2 * n1 * n2
+
+
 def project_points(camera, points):
     """Images (p1.x q2.x, p2.x q1.x, p2.x q2.x) of the rows of an (n, 4)
     point array, as an (n, 3) array; raises if any row has no image."""
@@ -104,17 +116,14 @@ def project_points(camera, points):
         raise ValidationError(f"points must be (n, 4), got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValidationError("point has non-finite entries")
-    nx = np.linalg.norm(X, axis=1)
-    if np.any(nx == 0.0):
+    if np.any(np.linalg.norm(X, axis=1) == 0.0):
         raise ValidationError("point is the zero vector, which has no projective meaning")
-    a, b = (X @ camera.A1.T).T  # p1.x, p2.x
-    c, d = (X @ camera.A2.T).T  # q1.x, q2.x
-    u = np.stack([a * d, b * c, b * d], axis=1)
-    n1, n2 = np.linalg.norm(camera.A1), np.linalg.norm(camera.A2)
-    bad = np.nonzero(np.linalg.norm(u, axis=1) < TOL * nx ** 2 * n1 * n2)[0]
-    if bad.size:
-        k = bad[0]
-        if np.hypot(a[k], b[k]) < 1e-7 * nx[k] * n1 or np.hypot(c[k], d[k]) < 1e-7 * nx[k] * n2:
+    u, defined = _images(camera, X)
+    if not np.all(defined):
+        x = X[np.argmin(defined)]
+        nx = np.linalg.norm(x)
+        if np.linalg.norm(camera.A1 @ x) < 1e-7 * nx * np.linalg.norm(camera.A1) or \
+                np.linalg.norm(camera.A2 @ x) < 1e-7 * nx * np.linalg.norm(camera.A2):
             raise ValidationError("point lies on a slit; projection undefined")
         raise ValidationError(
             "projection undefined: point lies on the base line p2.x = q2.x = 0")
@@ -123,7 +132,10 @@ def project_points(camera, points):
 
 def project(camera, x):
     """Image point (p1.x q2.x, p2.x q1.x, p2.x q2.x)."""
-    return project_points(camera, as_vector(x, 4, "point")[None])[0]
+    v = np.asarray(x, dtype=float).reshape(-1)
+    if v.shape != (4,):
+        raise ValidationError(f"point must have 4 entries, got shape {np.shape(x)}")
+    return project_points(camera, v[None])[0]
 
 
 def slits(camera):

@@ -215,8 +215,8 @@ class MinorMatrix:
 
 def _roots_guarded(a, b, c):
     """Real roots of a x^2 + b x + c with the branch policy: tiny leading
-    coefficient degrades to the linear root, a slightly negative
-    discriminant is clamped, a decisively negative one prunes."""
+    coefficient degrades to the linear root, a negative discriminant is
+    clamped to zero and gives one double root."""
     s = max(abs(a), abs(b), abs(c))
     if s == 0.0:
         return []
@@ -224,12 +224,9 @@ def _roots_guarded(a, b, c):
         if abs(b) < 1e-12 * s:
             return []
         return [-c / b]
-    disc = b * b - 4.0 * a * c
-    scale = max(b * b, abs(4.0 * a * c))
-    if disc < -1e-10 * scale:
-        return []
-    disc = max(disc, 0.0)
-    r = np.sqrt(disc)
+    r = np.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    if r == 0.0:
+        return [-b / (2.0 * a)]
     return [(-b + r) / (2.0 * a), (-b - r) / (2.0 * a)]
 
 

@@ -9,7 +9,7 @@ configurations raise immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +38,22 @@ def _error_kind(exc):
     return "degeneracy" if isinstance(exc, DegeneracyError) else "validation"
 
 
+def _copied(value):
+    """value with every nested list and dict copied; other values, all
+    immutable in a report, are shared."""
+    if isinstance(value, list):
+        return [_copied(v) if isinstance(v, (list, dict)) else v for v in value]
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    return value
+
+
+def _report_dict(report):
+    """The report as plain data, equal to dataclasses.asdict(report)
+    without its deep copy of every float."""
+    return {f.name: _copied(getattr(report, f.name)) for f in fields(report)}
+
+
 @dataclass
 class SfmReport:
     kind: str = "sfm"
@@ -57,7 +73,7 @@ class SfmReport:
     error_kind: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        return _report_dict(self)
 
 
 def _configuration_entry(minor, residual, tensor, correspondences, truth, W):
@@ -162,7 +178,7 @@ class SelfcalReport:
     error_kind: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        return _report_dict(self)
 
 
 def run_selfcal_experiment(config=SelfcalConfig()):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import golden
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, apply_space_transform, inverse_ray, project, project_points
+from .cameras import TwoSlitCamera, _images, apply_space_transform, inverse_ray, project_points
 from .epipolar import _as_correspondences, _factors
 from .projective import primal_matrix
 
@@ -116,22 +116,26 @@ def generate_scene(config=SceneConfig(), cameras=None):
     rng = np.random.default_rng(config.seed)
     camA, camB = cameras if cameras is not None else default_camera_pair()
 
-    pts = []
-    attempts = 0
-    while len(pts) < config.n_points:
-        attempts += 1
-        if attempts > 100 * config.n_points:
+    # Each batch is at most the number of points still needed, so every
+    # draw is one the candidate-at-a-time loop would make too, and the
+    # noise below sees the same generator state.
+    h = config.box_halfwidth
+    budget = 100 * config.n_points
+    batches = []
+    kept = drawn = 0
+    while kept < config.n_points:
+        if drawn == budget:
             raise DegeneracyError("could not sample points projecting through both cameras")
-        x = np.append(rng.uniform(-config.box_halfwidth, config.box_halfwidth, 3), 1.0)
-        try:
-            ua = project(camA, x)
-            ub = project(camB, x)
-        except ValidationError:
-            continue
-        if abs(ua[2]) < 1e-6 * np.linalg.norm(ua) or abs(ub[2]) < 1e-6 * np.linalg.norm(ub):
-            continue
-        pts.append(x)
-    points = np.stack(pts)
+        m = min(config.n_points - kept, budget - drawn)
+        x = np.hstack([rng.uniform(-h, h, (m, 3)), np.ones((m, 1))])
+        drawn += m
+        ok = np.ones(m, bool)
+        for camera in (camA, camB):
+            u, defined = _images(camera, x)
+            ok &= defined & (np.abs(u[:, 2]) >= 1e-6 * np.linalg.norm(u, axis=1))
+        batches.append(x[ok])
+        kept += int(ok.sum())
+    points = np.vstack(batches)
 
     camA = _rescale_to_image(camA, points, config.image_scale)
     camB = _rescale_to_image(camB, points, config.image_scale)

@@ -1,6 +1,7 @@
 """End-to-end reconstruction and self-calibration runners."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,21 @@ from twoslit.experiments import (
 )
 from twoslit.golden import REFERENCE_MAGNIFICATIONS, REFERENCE_Q
 from twoslit.synthetic import SceneConfig, generate_scene, reference_camera_pair
+
+
+def assert_no_shared_containers(d, report):
+    def containers(value):
+        if isinstance(value, (list, dict)):
+            yield id(value)
+        if isinstance(value, (list, tuple)):
+            for v in value:
+                yield from containers(v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from containers(v)
+
+    ours = set(containers(d))
+    assert not ours & set(containers(list(vars(report).values())))
 
 
 class TestSfmRunner:
@@ -74,6 +90,24 @@ class TestSfmRunner:
         assert back["rng_algorithm"] == report.rng_algorithm
         assert len(back["candidates"]) == len(report.candidates)
 
+    @pytest.mark.parametrize("seed", [302, 340, 343, 514])
+    def test_near_zero_discriminant_keeps_its_branches(self, seed):
+        """Noise pushes a normal-form discriminant slightly below zero on
+        these seeds; clamped to a double root, it keeps both
+        configurations, each once."""
+        report = run_sfm_experiment(SceneConfig(n_points=70, noise_sigma=1e-4,
+                                                seed=seed, image_scale=100.0))
+        assert report.ok, report.error
+        first, second = report.configurations
+        assert first["minor_matrix"] != second["minor_matrix"]
+        assert min(first["camera_gap"], second["camera_gap"]) < 5e-3
+
+    def test_to_dict_is_a_separate_asdict(self):
+        report = run_sfm_experiment(SceneConfig(n_points=20, seed=1))
+        d = report.to_dict()
+        assert d == asdict(report)
+        assert_no_shared_containers(d, report)
+
     def test_report_defaults(self):
         report = SfmReport()
         assert not report.ok
@@ -117,3 +151,9 @@ class TestSelfcalRunner:
         back = json.loads(json.dumps(report.to_dict()))
         assert back["kind"] == "selfcal"
         assert back["n_cameras"] == 6
+
+    def test_to_dict_is_a_separate_asdict(self):
+        report = run_selfcal_experiment(SelfcalConfig(n_cameras=6, seed=2))
+        d = report.to_dict()
+        assert d == asdict(report)
+        assert_no_shared_containers(d, report)

@@ -1,5 +1,7 @@
 """Scene generation, triangulation, and euclidean camera builders."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from twoslit.projective import join_points, point_on_line, proj_equal
 from twoslit.synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
+    _rescale_to_image,
     default_camera_pair,
     euclidean_transform,
     generate_scene,
@@ -298,3 +301,105 @@ class TestTriangulationKernel:
             reprojection_rms(*scene.cameras, corr)
         with pytest.raises(DegeneracyError, match="measured image point"):
             refine_triangulation(*scene.cameras, corr[4, :3], corr[4, 3:])
+
+
+def scalar_scene(config, cameras=None):
+    """generate_scene as it was written before batching: one candidate
+    point at a time, two scalar projections each."""
+    rng = np.random.default_rng(config.seed)
+    camA, camB = cameras if cameras is not None else default_camera_pair()
+    pts = []
+    attempts = 0
+    while len(pts) < config.n_points:
+        attempts += 1
+        if attempts > 100 * config.n_points:
+            raise DegeneracyError("could not sample points projecting through both cameras")
+        x = np.append(rng.uniform(-config.box_halfwidth, config.box_halfwidth, 3), 1.0)
+        try:
+            ua = project(camA, x)
+            ub = project(camB, x)
+        except ValidationError:
+            continue
+        if abs(ua[2]) < 1e-6 * np.linalg.norm(ua) or abs(ub[2]) < 1e-6 * np.linalg.norm(ub):
+            continue
+        pts.append(x)
+    points = np.stack(pts)
+    camA = _rescale_to_image(camA, points, config.image_scale)
+    camB = _rescale_to_image(camB, points, config.image_scale)
+    ua = project_points(camA, points)
+    ub = project_points(camB, points)
+    clean = np.hstack([ua / ua[:, 2:], ub / ub[:, 2:]])
+    noisy = clean.copy()
+    if config.noise_sigma > 0:
+        noisy[:, :2] += rng.normal(0.0, config.noise_sigma, (config.n_points, 2))
+        noisy[:, 3:5] += rng.normal(0.0, config.noise_sigma, (config.n_points, 2))
+    return points, (camA, camB), noisy, clean
+
+
+def assert_same_scene(scene, reference):
+    points, cameras, noisy, clean = reference
+    assert np.array_equal(scene.points, points)
+    assert np.array_equal(scene.correspondences, noisy)
+    assert np.array_equal(scene.clean_correspondences, clean)
+    for cam, ref in zip(scene.cameras, cameras):
+        assert np.array_equal(cam.A1, ref.A1)
+        assert np.array_equal(cam.A2, ref.A2)
+
+
+def rejecting_pair():
+    """The default rig with A1's second row scaled down, so that u3 is
+    below 1e-6 |u| on about two thirds of the default box."""
+    camA, camB = default_camera_pair()
+    return TwoSlitCamera(camA.A1 * [[1.0], [2e-7]], camA.A2), camB
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_default_rig_matches_scalar_loop(self, seed):
+        config = SceneConfig(n_points=70, noise_sigma=1e-4, seed=seed, image_scale=100.0)
+        assert_same_scene(generate_scene(config), scalar_scene(config))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rejecting_rig_matches_scalar_loop(self, seed):
+        cameras = rejecting_pair()
+        config = SceneConfig(n_points=60, noise_sigma=1e-5, seed=seed)
+        x = np.hstack([np.random.default_rng(seed).uniform(-5, 5, (1000, 3)),
+                       np.ones((1000, 1))])
+        u = project_points(cameras[0], x)
+        assert np.mean(np.abs(u[:, 2]) < 1e-6 * np.linalg.norm(u, axis=1)) > 0.5
+        assert_same_scene(generate_scene(config, cameras=cameras),
+                          scalar_scene(config, cameras=cameras))
+
+    def test_exhausted_budget_raises_after_the_same_draws(self, monkeypatch):
+        # u3 = z (z + 8) against u1 = (y + 1) (z + 8): every point of a
+        # 1e-9 box images too close to u3 = 0
+        camA = TwoSlitCamera(np.array([[0.0, 1, 0, 1], [0, 0, 1, 0]]),
+                             np.array([[1.0, 0, 0, 0], [0, 0, 1, 8]]))
+        cameras = (camA, default_camera_pair()[1])
+        config = SceneConfig(n_points=7, seed=3, box_halfwidth=1e-9)
+        generators = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        for sample in (generate_scene, scalar_scene):
+            with pytest.raises(DegeneracyError, match="^could not sample points "
+                               "projecting through both cameras$"):
+                sample(config, cameras=cameras)
+        batched, scalar = generators
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert batched.bit_generator.state == default_rng(3).bit_generator.advance(
+            300 * config.n_points).state
+
+    def test_ten_thousand_points_take_under_a_quarter_second(self):
+        config = SceneConfig(n_points=10_000, seed=0)
+        generate_scene(config)
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            generate_scene(config)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.25
