@@ -17,19 +17,18 @@ import numpy as np
 
 from .errors import ValidationError
 from .congruence import QuadraticCamera, TwoSlitCongruence
+from .projective import COARSE_TOL, FIT_TOL, NEAR_TOL, TOL, ZERO_TOL
 from .projective import (
-    TOL,
     RetinalFrame,
     as_vector,
     join_line_point,
     join_points,
     line_in_plane,
     meet_line_plane,
+    negligible,
     plane_meet_plane,
     point_on_line,
 )
-
-PARALLEL_TOL = 1e-8  # largest sine of the angle between parallel slits
 
 
 def _as_pair(A, name):
@@ -39,7 +38,7 @@ def _as_pair(A, name):
     if not np.all(np.isfinite(A)):
         raise ValidationError(f"{name} has non-finite entries")
     s = np.linalg.svd(A, compute_uv=False)
-    if s[1] < 1e-9 * s[0]:
+    if s[1] < TOL * s[0]:
         raise ValidationError(f"{name} is rank deficient; its null space is not a line")
     return A
 
@@ -49,8 +48,8 @@ def canonical_pair(A):
     A = np.asarray(A, float)
     B = A / np.linalg.norm(A)
     row = B[1]
-    nz = np.nonzero(np.abs(row) > 1e-12)[0]
-    lead = row[nz[0]] if nz.size else B[0][np.nonzero(np.abs(B[0]) > 1e-12)[0][0]]
+    nz = np.nonzero(np.abs(row) > ZERO_TOL)[0]
+    lead = row[nz[0]] if nz.size else B[0][np.nonzero(np.abs(B[0]) > ZERO_TOL)[0][0]]
     return B if lead > 0 else -B
 
 
@@ -66,7 +65,7 @@ class TwoSlitCamera:
         A2 = _as_pair(self.A2, "A2")
         stacked = np.vstack([A1 / np.linalg.norm(A1), A2 / np.linalg.norm(A2)])
         s = np.linalg.svd(stacked, compute_uv=False)
-        if s[3] < 1e-9 * s[0]:
+        if s[3] < TOL * s[0]:
             raise ValidationError(
                 "slits intersect: the stacked 4x4 matrix is singular")
         object.__setattr__(self, "A1", A1)
@@ -92,7 +91,7 @@ def camera_distance(cam1, cam2):
     return float(max(d1, d2))
 
 
-def cameras_equal(cam1, cam2, tol=1e-9):
+def cameras_equal(cam1, cam2, tol=TOL):
     return camera_distance(cam1, cam2) < tol
 
 
@@ -121,9 +120,8 @@ def project_points(camera, points):
     u, defined = _images(camera, X)
     if not np.all(defined):
         x = X[np.argmin(defined)]
-        nx = np.linalg.norm(x)
-        if np.linalg.norm(camera.A1 @ x) < 1e-7 * nx * np.linalg.norm(camera.A1) or \
-                np.linalg.norm(camera.A2 @ x) < 1e-7 * nx * np.linalg.norm(camera.A2):
+        if any(negligible(A @ x, np.linalg.norm(x) * np.linalg.norm(A), NEAR_TOL)
+               for A in (camera.A1, camera.A2)):
             raise ValidationError("point lies on a slit; projection undefined")
         raise ValidationError(
             "projection undefined: point lies on the base line p2.x = q2.x = 0")
@@ -158,12 +156,10 @@ def inverse_ray(camera, u):
     q1, q2 = camera.A2
     w1 = u[2] * p1 - u[0] * p2
     w2 = u[2] * q1 - u[1] * q2
-    scale1 = np.linalg.norm(u) * np.linalg.norm(camera.A1)
-    scale2 = np.linalg.norm(u) * np.linalg.norm(camera.A2)
     l1, l2 = slits(camera)
-    if np.linalg.norm(w2) < TOL * scale2:
+    if negligible(w2, np.linalg.norm(u) * np.linalg.norm(camera.A2)):
         return l2
-    if np.linalg.norm(w1) < TOL * scale1:
+    if negligible(w1, np.linalg.norm(u) * np.linalg.norm(camera.A1)):
         return l1
     return plane_meet_plane(w1, w2)
 
@@ -179,7 +175,7 @@ def default_retinal_plane(camera):
     for probe in ((1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, -1.0), (0.0, 0.0, 0.0, 1.0),
                   (1.0, 2.0, 3.0, 4.0)):
         z = np.asarray(probe)
-        if not point_on_line(b, z, tol=1e-6):
+        if not point_on_line(b, z, tol=COARSE_TOL):
             return join_line_point(b, z)
     raise ValidationError("no usable default retinal plane found")
 
@@ -200,7 +196,7 @@ def to_quadratic(camera, plane=None):
         plane = default_retinal_plane(camera)
     else:
         plane = as_vector(plane, 4, "plane")
-        if not line_in_plane(b, plane, tol=1e-7):
+        if not line_in_plane(b, plane, tol=NEAR_TOL):
             raise ValidationError("retinal plane must contain the base line")
 
     l1, l2 = slits(camera)
@@ -208,16 +204,10 @@ def to_quadratic(camera, plane=None):
     y2 = meet_line_plane(l1, plane)
     y3 = meet_line_plane(plane_meet_plane(p1, q1), plane)
 
-    s1 = float(p1 @ y1)
-    s2 = float(q1 @ y2)
-    ref = float(p2 @ y3)
-    ref2 = float(q2 @ y3)
-    norm3 = np.linalg.norm(y3)
-    if abs(s1) < 1e-12 * np.linalg.norm(p1) * np.linalg.norm(y1) or \
-            abs(s2) < 1e-12 * np.linalg.norm(q1) * np.linalg.norm(y2) or \
-            abs(ref) < 1e-12 * np.linalg.norm(p2) * norm3 or \
-            abs(ref2) < 1e-12 * np.linalg.norm(q2) * norm3:
+    pairs = ((p1, y1), (q1, y2), (p2, y3), (q2, y3))
+    if any(negligible(r @ y, np.linalg.norm(r) * np.linalg.norm(y), ZERO_TOL) for r, y in pairs):
         raise ValidationError("degenerate frame for this retinal plane")
+    s1, s2, ref, ref2 = (float(r @ y) for r, y in pairs)
     y1 = y1 * (ref / s1)
     y2 = y2 * (ref2 / s2)
 
@@ -225,14 +215,18 @@ def to_quadratic(camera, plane=None):
     return QuadraticCamera(TwoSlitCongruence(l1, l2), frame)
 
 
-def is_parallel(camera, tol=1e-8):
-    """True when both slits are finite and parallel to a common direction."""
-    m1 = camera.A1[1, :3]
-    m2 = camera.A2[1, :3]
-    n1, n2 = np.linalg.norm(m1), np.linalg.norm(m2)
-    if n1 < 1e-9 * np.linalg.norm(camera.A1) or n2 < 1e-9 * np.linalg.norm(camera.A2):
+def _at_infinity(A):
+    """True when the slit of A lies at infinity: its second row is that plane."""
+    return negligible(A[1, :3], np.linalg.norm(A))
+
+
+def is_parallel(camera, tol=FIT_TOL):
+    """True when both slits are finite and parallel to a common direction;
+    tol bounds the sine of the angle between them."""
+    if _at_infinity(camera.A1) or _at_infinity(camera.A2):
         return False
-    return np.linalg.norm(np.cross(m1 / n1, m2 / n2)) < tol
+    m1, m2 = camera.A1[1, :3], camera.A2[1, :3]
+    return negligible(np.cross(m1, m2), np.linalg.norm(m1) * np.linalg.norm(m2), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +277,7 @@ def _rq_2x3(M, rb=None):
     k12 = float(M[0] @ rb)
     res = M[0] - k12 * rb
     k11 = float(np.linalg.norm(res))
-    if k11 < 1e-12 * np.linalg.norm(M):
+    if negligible(k11, np.linalg.norm(M), ZERO_TOL):
         raise ValidationError("camera rows share a direction; triangular form impossible")
     ra = res / k11
     K = np.array([[k11, k12], [0.0, k22]])
@@ -292,17 +286,13 @@ def _rq_2x3(M, rb=None):
 
 def decompose_parallel(camera):
     """Split a parallel-slit camera into intrinsics and euclidean pose data."""
-    m31 = camera.A1[1, :3]
-    m32 = camera.A2[1, :3]
-    n1 = np.linalg.norm(m31)
-    n2 = np.linalg.norm(m32)
-    if n1 < 1e-9 * np.linalg.norm(camera.A1) or n2 < 1e-9 * np.linalg.norm(camera.A2):
+    if _at_infinity(camera.A1) or _at_infinity(camera.A2):
         raise ValidationError("a slit lies at infinity; parallel decomposition undefined")
-    if np.linalg.norm(np.cross(m31 / n1, m32 / n2)) > PARALLEL_TOL:
+    if not is_parallel(camera):
         raise ValidationError("slits are not parallel")
-
+    n1 = np.linalg.norm(camera.A1[1, :3])
     A1 = camera.A1 / n1
-    A2 = camera.A2 / float(m32 @ (m31 / n1))
+    A2 = camera.A2 / float(camera.A2[1, :3] @ (camera.A1[1, :3] / n1))
 
     K1, r1, r3 = _rq_2x3(A1[:, :3])
     K2, r2, _ = _rq_2x3(A2[:, :3], rb=r3)
@@ -342,20 +332,19 @@ class PushbroomDecomposition:
 
 def decompose_pushbroom(camera):
     """Split a pushbroom camera (A1 second row = plane at infinity)."""
-    inf_part = np.linalg.norm(camera.A1[1, :3])
-    if inf_part > 1e-9 * np.linalg.norm(camera.A1) or camera.A1[1, 3] == 0.0:
+    if not _at_infinity(camera.A1) or camera.A1[1, 3] == 0.0:
         raise ValidationError(
             "not a pushbroom camera: A1's second row must be the plane at infinity")
     A1 = camera.A1 / camera.A1[1, 3]
     m1 = A1[0, :3]
     nm1 = np.linalg.norm(m1)
-    if nm1 < 1e-9:
+    if nm1 < TOL:
         raise ValidationError("sweep direction vanishes")
+    if _at_infinity(camera.A2):
+        raise ValidationError("second slit lies at infinity; pushbroom form needs it finite")
     m3 = camera.A2[1, :3]
     nm3 = np.linalg.norm(m3)
-    if nm3 < 1e-9 * np.linalg.norm(camera.A2):
-        raise ValidationError("second slit lies at infinity; pushbroom form needs it finite")
-    if abs(float(m1 @ m3)) / (nm1 * nm3) > 1e-9:
+    if not negligible(m1 @ m3, nm1 * nm3):
         raise ValidationError(
             "sweep direction must be orthogonal to the second camera's view direction")
 
@@ -379,7 +368,7 @@ def apply_space_transform(camera, H):
     if H.shape != (4, 4):
         raise ValidationError(f"space transform must be 4x4, got {H.shape}")
     s = np.linalg.svd(H, compute_uv=False)
-    if s[3] < 1e-12 * s[0]:
+    if s[3] < ZERO_TOL * s[0]:
         raise ValidationError("space transform is singular")
     Hinv = np.linalg.inv(H)
     return TwoSlitCamera(camera.A1 @ Hinv, camera.A2 @ Hinv)

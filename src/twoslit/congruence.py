@@ -19,19 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .projective import COARSE_TOL, ZERO_TOL
 from .projective import (
-    TOL,
     RetinalFrame,
     as_vector,
     dual_matrix,
     join_line_point,
     join_points,
     line_in_plane,
-    line_to_image_map,
     lines_meet,
     meet_line_plane,
+    negligible,
     plane_meet_plane,
-    plucker_pairing,
     point_on_line,
     primal_matrix,
     proj_equal,
@@ -102,8 +101,7 @@ def essential_map_general(congruence, x):
     z = congruence.companion_point(x)
     coeff = max(np.linalg.norm(congruence.f) if congruence.beta else 0.0,
                 np.linalg.norm(congruence.g), np.linalg.norm(congruence.h))
-    scale = coeff * np.linalg.norm(x) ** congruence.beta
-    if np.linalg.norm(z) < TOL * scale:
+    if negligible(z, coeff * np.linalg.norm(x) ** congruence.beta):
         raise ValidationError("base point: companion point vanishes")
     if proj_equal(x, z):
         raise ValidationError("base point: ray through x is undetermined")
@@ -151,7 +149,7 @@ class QuadraticCamera:
 
     def __post_init__(self):
         for l in (self.congruence.slit1, self.congruence.slit2):
-            if line_in_plane(l, self.frame.plane, tol=1e-9):
+            if line_in_plane(l, self.frame.plane):
                 raise ValidationError("a slit lies in the retinal plane")
 
     def _matrices(self):
@@ -175,7 +173,7 @@ def quadratic_project(camera, x):
     u = np.array([a @ Si @ b for Si in S])
     scale = np.linalg.norm(x) ** 2 * max(np.linalg.norm(Si) for Si in S)
     scale *= np.linalg.norm(camera.congruence.slit1) * np.linalg.norm(camera.congruence.slit2)
-    if np.linalg.norm(u) / scale < TOL:
+    if negligible(u, scale):
         if point_on_line(camera.congruence.slit1, x) or point_on_line(
                 camera.congruence.slit2, x):
             raise ValidationError("point lies on a slit; projection undefined")
@@ -205,15 +203,11 @@ def _third_point(congruence, frame, y1h, y2h):
                (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (3.0, 5.0, -2.0)]
     for w in weights:
         y = frame.basis @ np.asarray(w)
-        if np.linalg.norm(y) < 1e-12:
+        if np.linalg.norm(y) < ZERO_TOL:
             continue
-        if point_on_line(base, y, tol=1e-6):
-            continue
-        if point_on_line(congruence.slit1, y, tol=1e-6):
-            continue
-        if point_on_line(congruence.slit2, y, tol=1e-6):
-            continue
-        return y
+        if not any(point_on_line(l, y, tol=COARSE_TOL)
+                   for l in (base, congruence.slit1, congruence.slit2)):
+            return y
     raise ValidationError("could not find a generic third point on the retinal plane")
 
 

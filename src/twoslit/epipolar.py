@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera
+from .projective import COARSE_TOL, FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL, negligible
 
 MIN_CORRESPONDENCES = 15
 
@@ -72,7 +73,7 @@ def tensor_gap(t1, t2):
     return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
 
 
-def tensors_equal(t1, t2, tol=1e-9):
+def tensors_equal(t1, t2, tol=TOL):
     return tensor_gap(t1, t2) < tol
 
 
@@ -172,20 +173,20 @@ def estimate_tensor_linear(correspondences):
     x, w = f[..., 0], f[..., 1]
     maps = np.zeros((4, 2, 2))
     maps[:, 0, 0] = maps[:, 1, 1] = 1.0
-    maps[:, 0, 1] = -np.sum(x * w, axis=1) / np.maximum(np.sum(w * w, axis=1), 1e-300)
+    maps[:, 0, 1] = -np.sum(x * w, axis=1) / np.maximum(np.sum(w * w, axis=1), TINY)
     rms = np.sqrt(np.mean((f @ maps.transpose(0, 2, 1)) ** 2, axis=1))
-    rms[rms < 1e-14 * np.maximum(rms.max(axis=1, keepdims=True), 1.0)] = 1.0
+    rms[rms < ROUNDOFF * np.maximum(rms.max(axis=1, keepdims=True), 1.0)] = 1.0
     maps /= rms[:, :, None]
     factors = f @ maps.transpose(0, 2, 1)
     design = np.einsum("ni,nj,nk,nl->nijkl", *factors).reshape(n, 16)
     norms = np.linalg.norm(design, axis=1, keepdims=True)
-    if np.any(norms < 1e-300):
+    if np.any(norms < TINY):
         raise ValidationError("a correspondence has an identically zero factor")
     design /= norms
     # with 15 rows only the full factorization holds the 16th row of Vt;
     # U is then at most 15x15
     _, s, Vt = np.linalg.svd(design, full_matrices=n < 16)
-    if s[14] < 1e-9 * s[0]:
+    if s[14] < TOL * s[0]:
         raise DegeneracyError(
             "correspondences do not determine the tensor (solution space has "
             "dimension > 1; degenerate scene such as coplanar points)")
@@ -205,8 +206,8 @@ class MinorMatrix:
         C = np.asarray(self.matrix, dtype=float)
         if C.shape != (4, 4):
             raise ValidationError(f"minor matrix must be 4x4, got {C.shape}")
-        row_pinned = np.max(np.abs(C[0, 1:] - 1.0)) <= 1e-9
-        col_pinned = np.max(np.abs(C[1:, 0] - 1.0)) <= 1e-9
+        row_pinned = np.max(np.abs(C[0, 1:] - 1.0)) <= TOL
+        col_pinned = np.max(np.abs(C[1:, 0] - 1.0)) <= TOL
         if not (row_pinned or col_pinned):
             raise ValidationError(
                 "first row or first column must be (c11, 1, 1, 1)")
@@ -220,8 +221,8 @@ def _roots_guarded(a, b, c):
     s = max(abs(a), abs(b), abs(c))
     if s == 0.0:
         return []
-    if abs(a) < 1e-12 * s:
-        if abs(b) < 1e-12 * s:
+    if abs(a) < ZERO_TOL * s:
+        if abs(b) < ZERO_TOL * s:
             return []
         return [-c / b]
     r = np.sqrt(max(b * b - 4.0 * a * c, 0.0))
@@ -233,10 +234,10 @@ def _roots_guarded(a, b, c):
 def _same_up_to_diagonal_gauge(col_C, row_C):
     """True when a column-pinned candidate is the row-pinned one rescaled."""
     d = col_C[0, 1:]
-    if np.min(np.abs(d)) < 1e-12 * max(1.0, float(np.max(np.abs(col_C)))):
+    if np.min(np.abs(d)) < ZERO_TOL * max(1.0, float(np.max(np.abs(col_C)))):
         return False
     rescaled = col_C[1:, 1:] * (d[:, None] / d[None, :])
-    tol = 1e-6 * max(1.0, float(np.max(np.abs(row_C))))
+    tol = COARSE_TOL * max(1.0, float(np.max(np.abs(row_C))))
     return float(np.max(np.abs(rescaled - row_C[1:, 1:]))) <= tol
 
 
@@ -258,7 +259,7 @@ def recover_minor_matrices(tensor):
     F = tensor.values
     nf = float(np.max(np.abs(F)))
     f2222 = F[1, 1, 1, 1]
-    if abs(f2222) < 1e-12 * nf:
+    if abs(f2222) < ZERO_TOL * nf:
         raise DegeneracyError(
             "cannot gauge-normalize: the (2,2,2,2) entry is zero")
     Fn = F / f2222
@@ -301,34 +302,28 @@ def recover_minor_matrices(tensor):
                 lo, hi = hi, lo
             pairs = []
             for root in _roots_guarded(lo, b, hi * P):
-                if abs(root) < 1e-12 * (abs(P) + 1.0):
+                if abs(root) < ZERO_TOL * (abs(P) + 1.0):
                     continue
                 pairs.append((root, P / root))
             branches.append(pairs)
 
         out = []
         for (c32, c23), (c42, c24), (c43, c34) in itertools.product(*branches):
+            C = np.array([
+                [c11, 1.0, 1.0, 1.0],
+                [c21, c22, c23, c24],
+                [c31, c32, c33, c34],
+                [c41, c42, c43, c44],
+            ])
             if pin_column:
-                C = np.array([
-                    [c11, c21, c31, c41],
-                    [1.0, c22, c23, c24],
-                    [1.0, c32, c33, c34],
-                    [1.0, c42, c43, c44],
-                ])
-            else:
-                C = np.array([
-                    [c11, 1.0, 1.0, 1.0],
-                    [c21, c22, c23, c24],
-                    [c31, c32, c33, c34],
-                    [c41, c42, c43, c44],
-                ])
+                C[0, 1:], C[1:, 0] = C[1:, 0], 1.0
             res = (np.linalg.det(C) - f(1, 1, 1, 1)) ** 2 + \
                   (-np.linalg.det(C[1:, 1:]) - f(2, 1, 1, 1)) ** 2
             out.append((C, float(res)))
         return out
 
     candidates = gauge_pass(False)
-    if sum(1 for _, res in candidates if res < 1e-8) < 2:
+    if sum(1 for _, res in candidates if res < FIT_TOL) < 2:
         extra = [
             (C, res) for C, res in gauge_pass(True)
             if not any(_same_up_to_diagonal_gauge(C, R) for R, _ in candidates)
@@ -360,11 +355,11 @@ def normal_form_transform(camA, camB):
     """
     first = np.stack([camA.A1[0], camA.A2[0], camB.A1[0], camB.A2[0]])
     s = np.linalg.svd(first, compute_uv=False)
-    if s[-1] < 1e-12 * s[0]:
+    if s[-1] < ZERO_TOL * s[0]:
         raise DegeneracyError("the four leading camera rows are linearly dependent")
     second = np.stack([camA.A1[1], camA.A2[1], camB.A1[1], camB.A2[1]])
     C0 = second @ np.linalg.inv(first)
-    if np.min(np.abs(C0[0, 1:])) < 1e-12 * np.max(np.abs(C0)):
+    if np.min(np.abs(C0[0, 1:])) < ZERO_TOL * np.max(np.abs(C0)):
         raise DegeneracyError(
             "normal-form gauge undefined: a leading minor row entry vanishes")
     d = np.concatenate([[1.0], 1.0 / C0[0, 1:]])
@@ -375,7 +370,7 @@ def transpose_conjugate(minor):
     """The companion gauge-fixed matrix with the same principal minors."""
     C = minor.matrix
     col1 = C[1:, 0]
-    if np.min(np.abs(col1)) < 1e-12 * max(1.0, float(np.max(np.abs(C)))):
+    if np.min(np.abs(col1)) < ZERO_TOL * max(1.0, float(np.max(np.abs(C)))):
         raise DegeneracyError(
             "transpose companion undefined: a first-column entry vanishes")
     d = np.concatenate([[1.0], 1.0 / col1])
@@ -391,13 +386,17 @@ def two_configurations(minor):
     return first, second
 
 
-def _check_calibration(K, name):
-    K = np.asarray(K, dtype=float)
-    if K.shape != (2, 2):
-        raise ValidationError(f"{name} must be 2x2, got {K.shape}")
-    if abs(np.linalg.det(K)) < 1e-12 * max(np.linalg.norm(K) ** 2, 1e-300):
-        raise ValidationError(f"{name} is singular")
-    return K
+def _calibrations(*Ks):
+    """(K1A, K2A, K1B, K2B) as float arrays, checked to be nonsingular 2x2."""
+    out = []
+    for K, name in zip(Ks, ("K1A", "K2A", "K1B", "K2B")):
+        K = np.asarray(K, dtype=float)
+        if K.shape != (2, 2):
+            raise ValidationError(f"{name} must be 2x2, got {K.shape}")
+        if negligible(np.linalg.det(K), max(np.linalg.norm(K) ** 2, TINY), ZERO_TOL):
+            raise ValidationError(f"{name} is singular")
+        out.append(K)
+    return out
 
 
 def essential_decompose(tensor, K1A, K2A, K1B, K2B):
@@ -408,13 +407,11 @@ def essential_decompose(tensor, K1A, K2A, K1B, K2B):
     the tensor is built from camera rows and A = K A0 acts on those
     rows linearly.
     """
-    Ks = [_check_calibration(K, n) for K, n in
-          ((K1A, "K1A"), (K2A, "K2A"), (K1B, "K1B"), (K2B, "K2B"))]
+    Ks = _calibrations(K1A, K2A, K1B, K2B)
     return EpipolarTensor(multilinear_transform(tensor.values, Ks)).normalized()
 
 
 def essential_compose(tensor, K1A, K2A, K1B, K2B):
     """Inverse of essential_decompose: reapply calibrations."""
-    Ks = [np.linalg.inv(_check_calibration(K, n)) for K, n in
-          ((K1A, "K1A"), (K2A, "K2A"), (K1B, "K1B"), (K2B, "K2B"))]
+    Ks = [np.linalg.inv(K) for K in _calibrations(K1A, K2A, K1B, K2B)]
     return EpipolarTensor(multilinear_transform(tensor.values, Ks)).normalized()

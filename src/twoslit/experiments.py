@@ -33,9 +33,12 @@ from .synthetic import (
     reprojection_rms,
 )
 
+MIN_Q_DET = 1e-10  # smallest |det| of a given ground-truth frame
 
-def _error_kind(exc):
-    return "degeneracy" if isinstance(exc, DegeneracyError) else "validation"
+
+def _record_failure(report, exc):
+    report.error = str(exc)
+    report.error_kind = "degeneracy" if isinstance(exc, DegeneracyError) else "validation"
 
 
 def _copied(value):
@@ -48,14 +51,15 @@ def _copied(value):
     return value
 
 
-def _report_dict(report):
-    """The report as plain data, equal to dataclasses.asdict(report)
-    without its deep copy of every float."""
-    return {f.name: _copied(getattr(report, f.name)) for f in fields(report)}
+class _Report:
+    def to_dict(self):
+        """The report as plain data, equal to dataclasses.asdict(self)
+        without its deep copy of every float."""
+        return {f.name: _copied(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
-class SfmReport:
+class SfmReport(_Report):
     kind: str = "sfm"
     rng_algorithm: str = RNG_ALGORITHM
     seed: int = 0
@@ -71,9 +75,6 @@ class SfmReport:
     ok: bool = False
     error: str = ""
     error_kind: str = ""
-
-    def to_dict(self):
-        return _report_dict(self)
 
 
 def _configuration_entry(minor, residual, tensor, correspondences, truth, W):
@@ -140,9 +141,7 @@ def run_sfm_experiment(config=SceneConfig(), cameras=None, correspondences=None)
     try:
         run_sfm_pipeline(correspondences, report, truth=truth)
     except TwoSlitError as exc:
-        report.ok = False
-        report.error = str(exc)
-        report.error_kind = _error_kind(exc)
+        _record_failure(report, exc)
     return report
 
 
@@ -157,7 +156,7 @@ class SelfcalConfig:
 
 
 @dataclass
-class SelfcalReport:
+class SelfcalReport(_Report):
     kind: str = "selfcal"
     rng_algorithm: str = RNG_ALGORITHM
     seed: int = 0
@@ -177,13 +176,12 @@ class SelfcalReport:
     error: str = ""
     error_kind: str = ""
 
-    def to_dict(self):
-        return _report_dict(self)
-
 
 def run_selfcal_experiment(config=SelfcalConfig()):
     """Scramble calibrated cameras by a projective frame, add noise,
     and measure how well self-calibration undoes it."""
+    if not 0 <= config.noise_sigma < np.inf:
+        raise ValidationError("noise sigma must be finite and cannot be negative")
     report = SelfcalReport(seed=config.seed, noise_sigma=config.noise_sigma,
                            n_cameras=config.n_cameras)
     rng = np.random.default_rng(config.seed)
@@ -201,7 +199,7 @@ def run_selfcal_experiment(config=SelfcalConfig()):
                 Q = rng.normal(size=(4, 4))
         else:
             Q = np.asarray(config.q_matrix, float)
-            if Q.shape != (4, 4) or abs(np.linalg.det(Q)) < 1e-10:
+            if Q.shape != (4, 4) or abs(np.linalg.det(Q)) < MIN_Q_DET:
                 raise ValidationError("q_matrix must be an invertible 4x4 matrix")
         report.q_true = Q.tolist()
         report.magnifications_true = [
@@ -235,7 +233,5 @@ def run_selfcal_experiment(config=SelfcalConfig()):
             zip(report.magnifications_recovered, report.magnifications_true)))
         report.ok = True
     except TwoSlitError as exc:
-        report.ok = False
-        report.error = str(exc)
-        report.error_kind = _error_kind(exc)
+        _record_failure(report, exc)
     return report

@@ -123,18 +123,21 @@ def read_json(path):
 
 
 def write_correspondences(correspondences, path, fmt="json"):
-    if fmt == "json":
-        write_json(correspondences_to_dict(correspondences), path)
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            correspondences_to_csv(correspondences, fh)
-    else:
-        raise ValidationError(f"unknown format {fmt!r}; use json or csv")
+    text = correspondences_to_text(correspondences, fmt)
+    # csv rows keep their "\n" ends untranslated on every platform
+    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
+
+
+def correspondence_format(path, fmt=None):
+    """fmt if given, else csv for a .csv file name and json otherwise."""
+    if fmt is None:
+        return "csv" if str(path).lower().endswith(".csv") else "json"
+    return fmt
 
 
 def read_correspondences(path, fmt=None):
-    if fmt is None:
-        fmt = "csv" if str(path).lower().endswith(".csv") else "json"
+    fmt = correspondence_format(path, fmt)
     if fmt == "json":
         return correspondences_from_dict(read_json(path))
     if fmt == "csv":

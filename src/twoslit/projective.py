@@ -19,7 +19,20 @@ import numpy as np
 
 from .errors import ValidationError
 
-TOL = 1e-9
+# The package's tolerance table, tightest level first.
+TINY = 1e-300  # a norm below this is zero; guards divisions only
+ROUNDOFF = 1e-14  # a relative size that a few double operations round to
+ZERO_TOL = 1e-12  # a relative pivot, singular value, root or entry that is zero
+TOL = 1e-9  # incidence, equality and rank of exact data
+FIT_TOL = 1e-8  # a quantity recovered from exact data through solves and roots
+NEAR_TOL = 1e-7  # incidence of a given point or plane with a constructed one
+COARSE_TOL = 1e-6  # agreement after long arithmetic; a probe's margin off a line
+
+
+def negligible(residual, scale, tol=TOL):
+    """True when the norm of residual is below tol times scale, the
+    product of the sizes of the operands that produced it."""
+    return np.linalg.norm(residual) < tol * scale
 
 
 def as_vector(x, size, name="vector"):
@@ -104,7 +117,7 @@ def quadric_residual(l):
     return abs(float(l @ line_star(l))) / n
 
 
-def validate_line(l, tol=1e-6):
+def validate_line(l, tol=COARSE_TOL):
     l = as_vector(l, 6, "line")
     if quadric_residual(l) > tol:
         raise ValidationError("coordinates violate the line quadric constraint")
@@ -119,24 +132,21 @@ def plucker_pairing(l, m):
 
 
 def lines_meet(l, m, tol=TOL):
-    denom = np.linalg.norm(l) * np.linalg.norm(m)
-    return abs(plucker_pairing(l, m)) / denom < tol
+    return negligible(plucker_pairing(l, m), np.linalg.norm(l) * np.linalg.norm(m), tol)
 
 
 def point_on_line(l, x, tol=TOL):
     """True when x is incident with l (the join degenerates)."""
     l = as_vector(l, 6, "line")
     x = as_vector(x, 4, "point")
-    r = np.linalg.norm(dual_matrix(l) @ x)
-    return r / (np.linalg.norm(l) * np.linalg.norm(x)) < tol
+    return negligible(dual_matrix(l) @ x, np.linalg.norm(l) * np.linalg.norm(x), tol)
 
 
 def line_in_plane(l, w, tol=TOL):
     """True when every point of l lies on the plane w."""
     l = as_vector(l, 6, "line")
     w = as_vector(w, 4, "plane")
-    r = np.linalg.norm(primal_matrix(l) @ w)
-    return r / (np.linalg.norm(l) * np.linalg.norm(w)) < tol
+    return negligible(primal_matrix(l) @ w, np.linalg.norm(l) * np.linalg.norm(w), tol)
 
 
 def meet_line_plane(l, w):
@@ -144,7 +154,7 @@ def meet_line_plane(l, w):
     l = as_vector(l, 6, "line")
     w = as_vector(w, 4, "plane")
     p = primal_matrix(l) @ w
-    if np.linalg.norm(p) / (np.linalg.norm(l) * np.linalg.norm(w)) < TOL:
+    if negligible(p, np.linalg.norm(l) * np.linalg.norm(w)):
         raise ValidationError("line lies in the plane; their meet is not a point")
     return p
 
@@ -154,7 +164,7 @@ def join_line_point(l, z):
     l = as_vector(l, 6, "line")
     z = as_vector(z, 4, "point")
     w = dual_matrix(l) @ z
-    if np.linalg.norm(w) / (np.linalg.norm(l) * np.linalg.norm(z)) < TOL:
+    if negligible(w, np.linalg.norm(l) * np.linalg.norm(z)):
         raise ValidationError("point lies on the line; their join is not a plane")
     return w
 
@@ -189,7 +199,7 @@ class RetinalFrame:
         if Y.shape == (3, 4):
             Y = Y.T
         s = np.linalg.svd(Y, compute_uv=False)
-        if s[2] < 1e-12 * s[0]:
+        if s[2] < ZERO_TOL * s[0]:
             raise ValidationError("frame points are collinear or coincident")
         object.__setattr__(self, "basis", Y)
         if self.plane is None:
@@ -198,7 +208,7 @@ class RetinalFrame:
             object.__setattr__(self, "plane", Vt[3])
         else:
             w = as_vector(self.plane, 4, "plane")
-            if np.linalg.norm(Y.T @ w) / (np.linalg.norm(w) * np.linalg.norm(Y)) > 1e-9:
+            if not negligible(Y.T @ w, np.linalg.norm(w) * np.linalg.norm(Y)):
                 raise ValidationError("stated plane does not contain the frame points")
             object.__setattr__(self, "plane", w)
 
@@ -213,10 +223,10 @@ class RetinalFrame:
     def points(self):
         return self.basis[:, 0], self.basis[:, 1], self.basis[:, 2]
 
-    def coords(self, y, tol=1e-7):
+    def coords(self, y, tol=NEAR_TOL):
         """Frame coordinates of an on-plane point via the pseudoinverse."""
         y = as_vector(y, 4, "point")
-        if abs(float(self.plane @ y)) / (np.linalg.norm(self.plane) * np.linalg.norm(y)) > tol:
+        if not negligible(self.plane @ y, np.linalg.norm(self.plane) * np.linalg.norm(y), tol):
             raise ValidationError("point does not lie on the frame's plane")
         Y = self.basis
         return np.linalg.solve(Y.T @ Y, Y.T @ y)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _rq_2x3
+from .projective import TINY, TOL, ZERO_TOL
 
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
 DEGENERACY_TOL = 1e-6  # smallest ratio s9/s1 of the constraint system
@@ -40,11 +41,11 @@ class DualAbsoluteQuadric:
             raise ValidationError(f"quadric must be 4x4, got {M.shape}")
         if not np.all(np.isfinite(M)) or np.linalg.norm(M) == 0.0:
             raise ValidationError("quadric matrix must be finite and nonzero")
-        if np.max(np.abs(M - M.T)) > 1e-9 * np.max(np.abs(M)):
+        if np.max(np.abs(M - M.T)) > TOL * np.max(np.abs(M)):
             raise ValidationError("quadric matrix must be symmetric")
         M = 0.5 * (M + M.T)
         M = M / np.linalg.norm(M)
-        anchor = M[0, 0] if abs(M[0, 0]) > 1e-12 else np.trace(M)
+        anchor = M[0, 0] if abs(M[0, 0]) > ZERO_TOL else np.trace(M)
         if anchor < 0:
             M = -M
         object.__setattr__(self, "matrix", M)
@@ -83,7 +84,7 @@ def estimate_daq(cameras):
         for A in (cam.A1, cam.A2):
             r = _constraint_row(A)
             nr = np.linalg.norm(r)
-            if nr < 1e-300:
+            if nr < TINY:
                 raise ValidationError("a camera contributes a null constraint")
             rows.append(r / nr)
     design = np.stack(rows)

@@ -15,7 +15,7 @@ from . import golden
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _images, apply_space_transform, inverse_ray, project_points
 from .epipolar import _as_correspondences, _factors
-from .projective import primal_matrix
+from .projective import COARSE_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL, negligible, primal_matrix
 
 RNG_ALGORITHM = "numpy-PCG64"
 STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
@@ -32,7 +32,7 @@ def rotation_about_axis(axis, angle):
     """Rodrigues rotation matrix about an axis vector."""
     axis = np.asarray(axis, float)
     n = np.linalg.norm(axis)
-    if n < 1e-12:
+    if n < ZERO_TOL:
         raise ValidationError("rotation axis must be nonzero")
     k = axis / n
     K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
@@ -95,7 +95,7 @@ def _rescale_to_image(camera, points, target_rms):
     us = project_points(camera, points)
     inhom = us[:, :2] / us[:, 2:3]
     rms = np.sqrt(np.mean(inhom ** 2, axis=0))
-    scales = np.where(rms > 1e-12, target_rms / np.maximum(rms, 1e-12), 1.0)
+    scales = np.where(rms > ZERO_TOL, target_rms / np.maximum(rms, ZERO_TOL), 1.0)
     return TwoSlitCamera(np.stack([camera.A1[0] * scales[0], camera.A1[1]]),
                          np.stack([camera.A2[0] * scales[1], camera.A2[1]]))
 
@@ -111,8 +111,8 @@ def generate_scene(config=SceneConfig(), cameras=None):
     """
     if config.n_points < 1:
         raise ValidationError("scene needs at least one point")
-    if config.noise_sigma < 0:
-        raise ValidationError("noise sigma cannot be negative")
+    if not 0 <= config.noise_sigma < np.inf:
+        raise ValidationError("noise sigma must be finite and cannot be negative")
     rng = np.random.default_rng(config.seed)
     camA, camB = cameras if cameras is not None else default_camera_pair()
 
@@ -132,7 +132,7 @@ def generate_scene(config=SceneConfig(), cameras=None):
         ok = np.ones(m, bool)
         for camera in (camA, camB):
             u, defined = _images(camera, x)
-            ok &= defined & (np.abs(u[:, 2]) >= 1e-6 * np.linalg.norm(u, axis=1))
+            ok &= defined & (np.abs(u[:, 2]) >= COARSE_TOL * np.linalg.norm(u, axis=1))
         batches.append(x[ok])
         kept += int(ok.sum())
     points = np.vstack(batches)
@@ -165,14 +165,13 @@ def line_point_direction(l):
     L = primal_matrix(l)
     at_inf = L @ np.array([0.0, 0.0, 0.0, 1.0])
     direction = -at_inf[:3]
-    nd = np.linalg.norm(direction)
-    if nd < 1e-12 * np.linalg.norm(l):
+    if negligible(direction, np.linalg.norm(l), ZERO_TOL):
         raise DegeneracyError("line lies in the plane at infinity")
     candidates = [L @ w for w in np.eye(4)]
     best = max(candidates, key=lambda p: abs(p[3]))
-    if abs(best[3]) < 1e-12 * np.linalg.norm(l):
+    if negligible(best[3], np.linalg.norm(l), ZERO_TOL):
         raise DegeneracyError("no finite point found on the line")
-    return best[:3] / best[3], direction / nd
+    return best[:3] / best[3], direction / np.linalg.norm(direction)
 
 
 def triangulate_rays(rays):
@@ -189,15 +188,12 @@ def triangulate_rays(rays):
         P = np.eye(3) - np.outer(d, d)
         A += P
         b += P @ p
-        anchors.append((p, d))
+        anchors.append((p, P))
     w = np.linalg.eigvalsh(A)
-    if w[0] < 1e-9 * max(w[-1], 1e-300):
+    if w[0] < TOL * max(w[-1], TINY):
         raise DegeneracyError("rays are nearly parallel; triangulation is ill posed")
     x = np.linalg.solve(A, b)
-    worst = 0.0
-    for p, d in anchors:
-        r = (np.eye(3) - np.outer(d, d)) @ (x - p)
-        worst = max(worst, float(np.linalg.norm(r)))
+    worst = max(float(np.linalg.norm(P @ (x - p))) for p, P in anchors)
     return np.append(x, 1.0), worst
 
 
@@ -211,7 +207,7 @@ def _linearize(N, D, t, x):
     images at infinity, and their (n, 4, 4) Jacobians."""
     num, den = x @ N.T, x @ D.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(np.abs(den) > 1e-14 * np.hypot(num, den), num / den - t, np.inf)
+        r = np.where(np.abs(den) > ROUNDOFF * np.hypot(num, den), num / den - t, np.inf)
         J = (N * den[..., None] - D * num[..., None]) / (den ** 2)[..., None]
     return r, J
 
@@ -220,7 +216,7 @@ def _gauss_newton_steps(J, r):
     """Minimum-norm solutions of J s = -r. The residuals are homogeneous
     of degree 0, so J x = 0: pinv drops x and each step is tangent to
     the unit sphere at its point."""
-    return -np.einsum("nij,nj->ni", np.linalg.pinv(J, rcond=1e-12), r)
+    return -np.einsum("nij,nj->ni", np.linalg.pinv(J, rcond=ZERO_TOL), r)
 
 
 def triangulate_points(camA, camB, correspondences):
@@ -236,7 +232,7 @@ def triangulate_points(camA, camB, correspondences):
     trying a step shorter than STEP_TOL.
     """
     z, w = _factors(_as_correspondences(correspondences)).transpose(2, 1, 0)
-    if np.any(np.abs(w) <= 1e-14 * np.abs(z)):
+    if np.any(np.abs(w) <= ROUNDOFF * np.abs(z)):
         raise DegeneracyError("a measured image point lies at infinity")
     N = np.stack([camA.A1[0], camA.A2[0], camB.A1[0], camB.A2[0]])
     D = np.stack([camA.A1[1], camA.A2[1], camB.A1[1], camB.A2[1]])

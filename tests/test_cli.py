@@ -1,10 +1,17 @@
 """Command line behavior: subcommands, formats, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoslit
+from twoslit import golden
 from twoslit import io as tsio
 from twoslit.cameras import project
 from twoslit.cli import main
@@ -232,3 +239,46 @@ def test_tensor_from_fifteen_csv_rows(capsys, tmp_path):
     code, out, _ = run(capsys, "tensor", "--in", str(corr))
     assert code == 0
     assert json.loads(out)["n_correspondences"] == 15
+
+
+def test_verify_paper_names_the_failing_quantity(capsys, monkeypatch):
+    monkeypatch.setattr(golden, "REFERENCE_DAQ", golden.REFERENCE_DAQ + 0.01)
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert re.fullmatch(r"FAIL selfcal-quadric: quadric gap \d\.\d{3}e-02 exceeds 5e-03",
+                        fails[0])
+    assert "6/7 reference checks passed" in out
+
+
+@pytest.mark.parametrize("command", ["synth", "sfm", "selfcal"])
+@pytest.mark.parametrize("sigma", ["inf", "nan", "-1"])
+def test_sigma_must_be_finite_and_non_negative(capsys, command, sigma):
+    code, out, err = run(capsys, command, "--sigma", sigma)
+    assert code == 2
+    assert err.startswith("error:") and "sigma" in err
+    assert out == ""
+
+
+def test_sfm_reads_csv_by_file_name(capsys, tmp_path):
+    corr = tmp_path / "c.csv"
+    run(capsys, "synth", "--points", "25", "--seed", "3",
+        "--format", "csv", "--out", str(corr))
+    code, out, _ = run(capsys, "sfm", "--in", str(corr))
+    assert code == 0
+    assert json.loads(out)["ok"]
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early, as `| head -1` does, ends the command
+    with the shell's SIGPIPE status and nothing on stderr."""
+    src = str(Path(twoslit.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twoslit.cli", "synth", "--points", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
