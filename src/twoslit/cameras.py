@@ -268,20 +268,19 @@ class ParallelDecomposition:
 
 def _rq_2x3(M, rb=None):
     """M = K @ [ra; rb] with ra, rb unit rows, K = [[k11, k12], [0, k22]]
-    with positive k11. rb defaults to M's own second-row direction; a
-    shared direction may be passed instead, in which case any component
-    of M off that direction is projected away."""
+    with positive k11, for one (2, 3) M or a stack of them. rb defaults to
+    M's own second-row direction; a shared direction may be passed instead,
+    in which case any component of M off that direction is projected away."""
     if rb is None:
-        rb = M[1] / np.linalg.norm(M[1])
-    k22 = float(M[1] @ rb)
-    k12 = float(M[0] @ rb)
-    res = M[0] - k12 * rb
-    k11 = float(np.linalg.norm(res))
-    if negligible(k11, np.linalg.norm(M), ZERO_TOL):
+        rb = M[..., 1, :] / np.linalg.norm(M[..., 1, :], axis=-1, keepdims=True)
+    k22 = np.sum(M[..., 1, :] * rb, axis=-1)
+    k12 = np.sum(M[..., 0, :] * rb, axis=-1)
+    res = M[..., 0, :] - k12[..., None] * rb
+    k11 = np.linalg.norm(res, axis=-1)
+    if np.any(k11 < ZERO_TOL * np.linalg.norm(M, axis=(-2, -1))):
         raise ValidationError("camera rows share a direction; triangular form impossible")
-    ra = res / k11
-    K = np.array([[k11, k12], [0.0, k22]])
-    return K, ra, rb
+    K = np.stack([np.stack([k11, k12], -1), np.stack([np.zeros_like(k22), k22], -1)], -2)
+    return K, res / k11[..., None], rb
 
 
 def decompose_parallel(camera):

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when verify-paper finds a mismatch,
-2 for invalid input, 3 when the data is numerically degenerate, 141
-when standard output is closed before the command finished writing.
+2 for invalid input or a file that cannot be read or written, 3 for
+numerically degenerate data, 141 when standard output closes early.
 """
 
 from __future__ import annotations
@@ -92,10 +92,8 @@ def cmd_tensor(args):
     if tsio.correspondence_format(path, args.format) == "json":
         data = tsio.read_json(path)
     if data is not None and "cameras" in data:
-        camA = tsio.camera_from_dict(data["cameras"]["A"])
-        camB = tsio.camera_from_dict(data["cameras"]["B"])
-        tensor = tensor_from_cameras(camA, camB)
-        out = tsio.tensor_to_dict(tensor)
+        cameras = (tsio.camera_from_dict(data["cameras"], name) for name in "AB")
+        out = tsio.tensor_to_dict(tensor_from_cameras(*cameras))
         out["source"] = "cameras"
     else:
         corr = (tsio.read_correspondences(path, fmt=args.format) if data is None
@@ -317,7 +315,7 @@ def main(argv=None):
         # the reader left early (`| head`); exit flushes into devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValidationError, DegeneracyError) as exc:
+    except (ValidationError, DegeneracyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DegeneracyError) else 2
 

@@ -77,32 +77,33 @@ def tensors_equal(t1, t2, tol=TOL):
     return tensor_gap(t1, t2) < tol
 
 
-_MINOR_COLS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_LAPLACE_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+def _levi_civita():
+    """The 4-index Levi-Civita symbol, rows (i, j), columns (k, l)."""
+    eps = np.zeros((4, 4, 4, 4))
+    for p in itertools.permutations(range(4)):
+        eps[p] = (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+    return eps.reshape(16, 16)
 
 
-def _pair_minors(r0, r1):
-    """Six 2x2 minors of the stack [r0; r1], columns ordered as _MINOR_COLS."""
-    return np.array([r0[i] * r1[j] - r0[j] * r1[i] for i, j in _MINOR_COLS])
+_EPSILON = _levi_civita()
+
+
+def _row_products(camera):
+    """Row 2a+b is the flattened outer product of (-1)^a A1[1-a] and
+    (-1)^b A2[1-b]: the reversed row pairs, carrying the entry signs."""
+    a1, a2 = (A[::-1] * [[1.0], [-1.0]] for A in (camera.A1, camera.A2))
+    return (a1[:, None, :, None] * a2[None, :, None, :]).reshape(4, 16)
 
 
 def tensor_from_cameras(camA, camB):
-    """Exact tensor of two cameras via 16 stacked-row determinants.
+    """Exact tensor of two cameras: the 16 stacked-row determinants as
+    one contraction of the Levi-Civita symbol with the row products.
 
-    Each determinant is expanded into 2x2 minors of the top (camera A)
-    and bottom (camera B) row pairs, which keeps integer inputs exact;
-    a factored elimination would round them.
+    Each determinant is a signed sum of products of four entries, which
+    keeps integer inputs exact; a factored elimination would round them.
     """
-    mA = np.empty((2, 2, 6))
-    mB = np.empty((2, 2, 6))
-    for a, b in itertools.product(range(2), repeat=2):
-        mA[a, b] = _pair_minors(camA.A1[1 - a], camA.A2[1 - b])
-        mB[a, b] = _pair_minors(camB.A1[1 - a], camB.A2[1 - b])
-    F = np.empty((2, 2, 2, 2))
-    for a, b, c, d in itertools.product(range(2), repeat=4):
-        det = float(np.dot(_LAPLACE_SIGNS * mA[a, b], mB[c, d][::-1]))
-        F[a, b, c, d] = (-1.0) ** (a + b + c + d) * det
-    return EpipolarTensor(F)
+    F = _row_products(camA) @ _EPSILON @ _row_products(camB).T
+    return EpipolarTensor(F.reshape(2, 2, 2, 2))
 
 
 def _as_correspondences(correspondences):

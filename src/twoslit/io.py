@@ -28,10 +28,12 @@ def camera_to_dict(camera):
     return {"A1": _float_list(camera.A1), "A2": _float_list(camera.A2)}
 
 
-def camera_from_dict(data):
+def camera_from_dict(data, name=None):
+    """Camera from an {"A1", "A2"} record, or from the record data[name]."""
     try:
-        return TwoSlitCamera(np.asarray(data["A1"], float),
-                             np.asarray(data["A2"], float))
+        record = data if name is None else data[name]
+        return TwoSlitCamera(np.asarray(record["A1"], float),
+                             np.asarray(record["A2"], float))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed camera record: {exc}") from exc
 
@@ -117,9 +119,12 @@ def write_json(data, path):
 def read_json(path):
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return data
 
 
 def write_correspondences(correspondences, path, fmt="json"):

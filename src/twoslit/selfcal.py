@@ -8,6 +8,10 @@ satisfies (A M A^T)[0, 1] = 0, one linear equation in the ten distinct
 entries of M per matrix, two per camera. The null vector of the
 stacked system estimates M; an eigendecomposition splits off the
 upgrading transform.
+
+Both steps take the whole rig as one (n, 2, 2, 4) array of camera
+matrices: one design row per matrix from the outer product of its two
+rows, and one stacked triangular factorization for every calibration.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from .projective import TINY, TOL, ZERO_TOL
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
 DEGENERACY_TOL = 1e-6  # smallest ratio s9/s1 of the constraint system
 RANK_TOL = 1e-3  # eigenvalue ratio that separates the quadric's zero from its rank-3 part
-
-_SYM_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
-              (2, 2), (2, 3), (3, 3)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,17 +58,6 @@ class DualAbsoluteQuadric:
         return w[order], V[:, order]
 
 
-def _constraint_row(A):
-    A = A / np.linalg.norm(A)
-    row = np.empty(10)
-    for n, (a, b) in enumerate(_SYM_INDEX):
-        if a == b:
-            row[n] = A[0, a] * A[1, a]
-        else:
-            row[n] = A[0, a] * A[1, b] + A[0, b] * A[1, a]
-    return row
-
-
 def estimate_daq(cameras):
     """Least-squares dual quadric from centered parallel cameras.
 
@@ -79,25 +69,22 @@ def estimate_daq(cameras):
     if len(cameras) < 5:
         raise ValidationError(
             f"need at least 5 cameras for self-calibration, got {len(cameras)}")
-    rows = []
-    for cam in cameras:
-        for A in (cam.A1, cam.A2):
-            r = _constraint_row(A)
-            nr = np.linalg.norm(r)
-            if nr < TINY:
-                raise ValidationError("a camera contributes a null constraint")
-            rows.append(r / nr)
-    design = np.stack(rows)
-    _, s, Vt = np.linalg.svd(design, full_matrices=False)
+    A = np.array([(cam.A1, cam.A2) for cam in cameras]).reshape(-1, 2, 4)
+    A = A / np.linalg.norm(A, axis=(1, 2), keepdims=True)
+    # (A M A^T)[0, 1] = sum over a <= b of M[a, b] (P[a, b] + P[b, a]), P[a, a] once
+    P = A[:, 0, :, None] * A[:, 1, None, :]
+    i, j = np.triu_indices(4)
+    design = P[:, i, j] + np.where(i == j, 0.0, P[:, j, i])
+    norms = np.linalg.norm(design, axis=1, keepdims=True)
+    if np.min(norms) < TINY:
+        raise ValidationError("a camera contributes a null constraint")
+    _, s, Vt = np.linalg.svd(design / norms, full_matrices=False)
     if s[8] < DEGENERACY_TOL * s[0]:
         raise DegeneracyError(
             "camera motion is degenerate for self-calibration: the constraint "
             "system has a solution space of dimension > 1")
-    m = Vt[9]
     M = np.empty((4, 4))
-    for val, (a, b) in zip(m, _SYM_INDEX):
-        M[a, b] = val
-        M[b, a] = val
+    M[i, j] = M[j, i] = Vt[9]
     return DualAbsoluteQuadric(M)
 
 
@@ -134,27 +121,14 @@ def extract_upgrade(daq, cameras):
     q_prime = np.column_stack([V[:, 0] * scales[0], V[:, 1] * scales[1],
                                V[:, 2] * scales[2], V[:, 3]])
 
-    upgraded = []
-    calibrations = []
-    magnifications = []
-    for cam in cameras:
-        up = TwoSlitCamera(cam.A1 @ q_prime, cam.A2 @ q_prime)
-        upgraded.append(up)
-        Ks = []
-        mags = []
-        for A in (up.A1, up.A2):
-            K, _, _ = _rq_2x3(A[:, :3])
-            Ks.append(K / K[1, 1])
-            mags.append(float(np.linalg.norm(A[0, :3]) / np.linalg.norm(A[1, :3])))
-        calibrations.append((Ks[0], Ks[1]))
-        magnifications.append((mags[0], mags[1]))
+    U = np.array([(cam.A1, cam.A2) for cam in cameras]).reshape(-1, 2, 2, 4) @ q_prime
+    K, _, _ = _rq_2x3(U[..., :3])
+    rows = np.linalg.norm(U[..., :3], axis=-1)
     return UpgradeResult(
-        q_prime=q_prime,
-        eigenvalues=lam,
-        upgraded=upgraded,
-        calibrations=calibrations,
-        magnifications=magnifications,
-    )
+        q_prime=q_prime, eigenvalues=lam,
+        upgraded=[TwoSlitCamera(A1, A2) for A1, A2 in U],
+        calibrations=[tuple(Ks) for Ks in K / K[..., 1:, 1:]],
+        magnifications=[tuple(m) for m in (rows[..., 0] / rows[..., 1]).tolist()])
 
 
 def similarity_defect(Q_true, q_prime):

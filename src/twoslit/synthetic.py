@@ -20,6 +20,7 @@ from .projective import COARSE_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL, negligible, p
 RNG_ALGORITHM = "numpy-PCG64"
 STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
 MAX_PASSES = 50  # residual evaluations per point after the start, at most
+MAGNIFICATION_RANGE = (0.5, 4.0)  # of random_calibrated_cameras
 
 
 def reference_camera_pair():
@@ -304,13 +305,13 @@ def parallel_camera_pair(K1, K2, rotation, theta, translations):
     return TwoSlitCamera(A1, A2)
 
 
-def random_calibrated_cameras(n, rng, magnification_range=(0.5, 4.0), first=None):
+def random_calibrated_cameras(n, rng, first=None):
     """Centered parallel cameras with log-uniform magnifications.
 
     Returns (cameras, calibrations); `first` optionally pins the two
     magnifications of the first camera.
     """
-    low, high = magnification_range
+    low, high = MAGNIFICATION_RANGE
     cams = []
     cals = []
     for i in range(n):

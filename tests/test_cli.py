@@ -282,3 +282,30 @@ def test_closed_stdout_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"cameras": 5}', '{"cameras": {"B": {}}}'])
+def test_malformed_json_input_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "tensor", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "undecodable", "out", "cameras-out"])
+def test_unreadable_or_unwritable_file_exits_2(capsys, tmp_path, case):
+    missing_dir = tmp_path / "no-such-dir"
+    undecodable = tmp_path / "bom.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    argv = {
+        "missing": ["tensor", "--in", str(tmp_path / "missing.json")],
+        "directory": ["tensor", "--in", str(tmp_path)],
+        "undecodable": ["tensor", "--in", str(undecodable)],
+        "out": ["synth", "--points", "5", "--out", str(missing_dir / "x.json")],
+        "cameras-out": ["synth", "--points", "5", "--out", str(tmp_path / "x.json"),
+                        "--cameras-out", str(missing_dir / "c.json")],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,5 +1,7 @@
 """Tensor construction, estimation, and camera recovery."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -451,3 +453,50 @@ def test_residual_kernel_matches_rows(reference_pair, rng):
         for row, value in zip(corr, values):
             assert value == epipolar_residual(t, row[:3], row[3:], normalized=normalized)
     assert epipolar_residuals(t, np.zeros((1, 6)))[0] == np.inf
+
+
+def _random_camera_pair(draw):
+    """Two cameras from draw(shape) matrices, redrawn until valid."""
+    while True:
+        try:
+            return (TwoSlitCamera(draw((2, 4)), draw((2, 4))),
+                    TwoSlitCamera(draw((2, 4)), draw((2, 4))))
+        except ValidationError:
+            pass
+
+
+def _stacked_rows(camA, camB, a, b, c, d):
+    return [camA.A1[1 - a], camA.A2[1 - b], camB.A1[1 - c], camB.A2[1 - d]]
+
+
+def test_tensor_matches_signed_determinants(rng):
+    """Entry (a, b, c, d) is (-1)^(a+b+c+d) det of the stacked rows."""
+    for _ in range(200):
+        camA, camB = _random_camera_pair(lambda shape: rng.normal(size=shape))
+        F = tensor_from_cameras(camA, camB).values
+        ref = np.empty((2, 2, 2, 2))
+        for idx in itertools.product(range(2), repeat=4):
+            ref[idx] = (-1.0) ** sum(idx) * np.linalg.det(_stacked_rows(camA, camB, *idx))
+        assert np.max(np.abs(F - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _integer_det(rows):
+    """Leibniz determinant in Python integers."""
+    total = 0
+    for p in itertools.permutations(range(4)):
+        inversions = sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2))
+        term = (-1) ** inversions
+        for row, col in zip(rows, p):
+            term *= int(row[col])
+        total += term
+    return total
+
+
+def test_tensor_is_exact_on_integer_cameras():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        camA, camB = _random_camera_pair(
+            lambda shape: rng.integers(-20, 21, size=shape).astype(float))
+        F = tensor_from_cameras(camA, camB).values
+        for idx in itertools.product(range(2), repeat=4):
+            assert F[idx] == (-1) ** sum(idx) * _integer_det(_stacked_rows(camA, camB, *idx))

@@ -14,7 +14,12 @@ from twoslit.experiments import (
     run_sfm_experiment,
 )
 from twoslit.golden import REFERENCE_MAGNIFICATIONS, REFERENCE_Q
-from twoslit.synthetic import SceneConfig, generate_scene, reference_camera_pair
+from twoslit.synthetic import (
+    SceneConfig,
+    generate_scene,
+    random_calibrated_cameras,
+    reference_camera_pair,
+)
 
 
 def assert_no_shared_containers(d, report):
@@ -157,3 +162,32 @@ class TestSelfcalRunner:
         d = report.to_dict()
         assert d == asdict(report)
         assert_no_shared_containers(d, report)
+
+
+def per_matrix_noisy_cameras(config):
+    """The rig run_selfcal_experiment once built one matrix at a time,
+    kept as the reference for its random stream."""
+    rng = np.random.default_rng(config.seed)
+    cams, _ = random_calibrated_cameras(config.n_cameras, rng)
+    Q = rng.normal(size=(4, 4))
+    while abs(np.linalg.det(Q)) < 0.1:
+        Q = rng.normal(size=(4, 4))
+    Qinv = np.linalg.inv(Q)
+    noisy = []
+    for cam in cams:
+        pair = []
+        for A in (cam.A1 @ Qinv, cam.A2 @ Qinv):
+            An = A / np.linalg.norm(A)
+            pair.append(An + rng.normal(0.0, config.noise_sigma, (2, 4)))
+        noisy.append(pair)
+    return np.array(noisy)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_selfcal_rig_keeps_the_random_stream(seed):
+    config = SelfcalConfig(n_cameras=10 + seed, noise_sigma=1e-4, seed=seed)
+    report = run_selfcal_experiment(config)
+    got = np.array([(cam["A1"], cam["A2"]) for cam in report.cameras])
+    reference = per_matrix_noisy_cameras(config)
+    assert got.shape == reference.shape
+    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))

@@ -17,7 +17,7 @@ from twoslit.selfcal import (
     similarity_defect,
 )
 from twoslit.synthetic import random_calibrated_cameras, random_rotation
-from twoslit.cameras import TwoSlitCamera
+from twoslit.cameras import TwoSlitCamera, _rq_2x3
 
 
 def scrambled(cams, Q):
@@ -137,3 +137,56 @@ class TestSimilarityDefect:
         S = np.eye(4)
         S[3, 0] = 0.3
         assert similarity_defect(np.eye(4), S) > 0.1
+
+
+SYM_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
+             (2, 2), (2, 3), (3, 3)]
+
+
+def constraint_row(A):
+    """The per-entry design row estimate_daq once built, kept as the reference."""
+    A = A / np.linalg.norm(A)
+    row = np.empty(10)
+    for n, (a, b) in enumerate(SYM_INDEX):
+        if a == b:
+            row[n] = A[0, a] * A[1, a]
+        else:
+            row[n] = A[0, a] * A[1, b] + A[0, b] * A[1, a]
+    return row
+
+
+def test_design_rows_match_per_entry_loop(rng, monkeypatch):
+    cams, _ = random_calibrated_cameras(12, rng)
+    cams = scrambled(cams, np.eye(4) + 0.3 * rng.normal(size=(4, 4)))
+    designs = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        designs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    estimate_daq(cams)
+    rows = [constraint_row(A) for cam in cams for A in (cam.A1, cam.A2)]
+    reference = np.array([r / np.linalg.norm(r) for r in rows])
+    assert len(designs) == 1 and designs[0].shape == reference.shape
+    assert np.max(np.abs(designs[0] - reference)) < 1e-14
+
+
+def test_stacked_rq_matches_per_matrix_calls(rng):
+    M = rng.normal(size=(5, 2, 2, 3))
+    shared = rng.normal(size=(5, 2, 3))
+    shared /= np.linalg.norm(shared, axis=-1, keepdims=True)
+    for rb in (None, shared):
+        K, ra, rb_out = _rq_2x3(M, rb)
+        for idx in np.ndindex(5, 2):
+            k, a, b = _rq_2x3(M[idx], None if rb is None else rb[idx])
+            scale = np.linalg.norm(M[idx])
+            assert np.max(np.abs(K[idx] - k)) < 1e-14 * scale
+            assert np.max(np.abs(ra[idx] - a)) < 1e-14
+            assert np.max(np.abs(rb_out[idx] - b)) < 1e-14
+    M[3, 1, 0] = 2.5 * M[3, 1, 1]
+    with pytest.raises(ValidationError, match="share a direction"):
+        _rq_2x3(M[3, 1])
+    with pytest.raises(ValidationError, match="share a direction"):
+        _rq_2x3(M)
