@@ -87,7 +87,6 @@ from .synthetic import (
     default_camera_pair,
     euclidean_transform,
     generate_scene,
-    line_point_direction,
     parallel_camera_pair,
     random_calibrated_cameras,
     random_rotation,
@@ -96,7 +95,6 @@ from .synthetic import (
     reprojection_rms,
     rotation_about_axis,
     triangulate_correspondence,
-    triangulate_rays,
 )
 from .experiments import (
     SelfcalConfig,
@@ -132,10 +130,10 @@ __all__ = [
     "OMEGA_DUAL", "DualAbsoluteQuadric", "UpgradeResult", "estimate_daq",
     "extract_upgrade", "similarity_defect",
     "SceneConfig", "SyntheticScene", "default_camera_pair",
-    "euclidean_transform", "generate_scene", "line_point_direction",
-    "parallel_camera_pair", "random_calibrated_cameras", "random_rotation",
-    "reference_camera_pair", "refine_triangulation", "reprojection_rms",
-    "rotation_about_axis", "triangulate_correspondence", "triangulate_rays",
+    "euclidean_transform", "generate_scene", "parallel_camera_pair",
+    "random_calibrated_cameras", "random_rotation", "reference_camera_pair",
+    "refine_triangulation", "reprojection_rms", "rotation_about_axis",
+    "triangulate_correspondence",
     "SelfcalConfig", "SelfcalReport", "SfmReport", "run_selfcal_experiment",
     "run_sfm_experiment",
     "golden",

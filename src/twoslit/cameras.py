@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .congruence import QuadraticCamera, TwoSlitCongruence
-from .projective import COARSE_TOL, FIT_TOL, NEAR_TOL, TOL, ZERO_TOL
+from .projective import COARSE_TOL, FIT_TOL, NEAR_TOL, TINY, TOL, ZERO_TOL
 from .projective import (
     RetinalFrame,
     as_vector,
@@ -37,9 +37,6 @@ def _as_pair(A, name):
         raise ValidationError(f"{name} must be 2x4, got {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValidationError(f"{name} has non-finite entries")
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[1] < TOL * s[0]:
-        raise ValidationError(f"{name} is rank deficient; its null space is not a line")
     return A
 
 
@@ -61,11 +58,20 @@ class TwoSlitCamera:
     A2: np.ndarray
 
     def __post_init__(self):
+        """A rank-deficient pair makes the stack of the unit-norm pairs
+        singular too (the stack's s4 is at most the pair's s2, its s1 at
+        least the pair's s1), so one SVD decides; the pairs' own SVDs
+        only name the fault. A zero pair fails both tests."""
         A1 = _as_pair(self.A1, "A1")
         A2 = _as_pair(self.A2, "A2")
-        stacked = np.vstack([A1 / np.linalg.norm(A1), A2 / np.linalg.norm(A2)])
+        stacked = np.vstack([A / max(np.linalg.norm(A), TINY) for A in (A1, A2)])
         s = np.linalg.svd(stacked, compute_uv=False)
-        if s[3] < TOL * s[0]:
+        if s[3] <= TOL * s[0]:
+            for name, A in (("A1", A1), ("A2", A2)):
+                s = np.linalg.svd(A, compute_uv=False)
+                if s[1] <= TOL * s[0]:
+                    raise ValidationError(
+                        f"{name} is rank deficient; its null space is not a line")
             raise ValidationError(
                 "slits intersect: the stacked 4x4 matrix is singular")
         object.__setattr__(self, "A1", A1)

@@ -69,13 +69,8 @@ def cmd_synth(args):
 
 def cmd_project(args):
     data = tsio.read_json(_infile(args))
-    if "camera" not in data or "points" not in data:
-        raise ValidationError('project input must hold "camera" and "points"')
-    camera = tsio.camera_from_dict(data["camera"])
-    try:
-        points = np.asarray(data["points"], float)
-    except ValueError as exc:
-        raise ValidationError(f"malformed point rows: {exc}") from exc
+    camera = tsio.camera_from_dict(data, "camera")
+    points = tsio._field(data, "point rows", "points")
     if points.ndim == 1:
         points = points[None, :]
     if points.ndim != 2 or points.shape[1] not in (3, 4):
@@ -91,8 +86,9 @@ def cmd_tensor(args):
     data = None
     if tsio.correspondence_format(path, args.format) == "json":
         data = tsio.read_json(path)
-    if data is not None and "cameras" in data:
-        cameras = (tsio.camera_from_dict(data["cameras"], name) for name in "AB")
+    if data is not None and ("cameras" in data or {"A", "B"} <= data.keys()):
+        # a {"cameras": {"A", "B"}} record, or the pair synth --cameras-out writes
+        cameras = (tsio.camera_from_dict(data.get("cameras", data), name) for name in "AB")
         out = tsio.tensor_to_dict(tensor_from_cameras(*cameras))
         out["source"] = "cameras"
     else:

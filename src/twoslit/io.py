@@ -24,18 +24,26 @@ def _float_list(a):
     return np.asarray(a, float).tolist()
 
 
+def _field(data, what, *keys):
+    """data[key1][key2]... as a float array. A missing key, a record that
+    is not an object, or a value that is ragged, not numeric or too large
+    for a float makes the record a malformed `what`."""
+    try:
+        for key in keys:
+            data = data[key]
+        return np.asarray(data, float)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
 def camera_to_dict(camera):
     return {"A1": _float_list(camera.A1), "A2": _float_list(camera.A2)}
 
 
 def camera_from_dict(data, name=None):
     """Camera from an {"A1", "A2"} record, or from the record data[name]."""
-    try:
-        record = data if name is None else data[name]
-        return TwoSlitCamera(np.asarray(record["A1"], float),
-                             np.asarray(record["A2"], float))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed camera record: {exc}") from exc
+    path = () if name is None else (name,)
+    return TwoSlitCamera(*(_field(data, "camera record", *path, key) for key in ("A1", "A2")))
 
 
 def tensor_to_dict(tensor):
@@ -49,10 +57,7 @@ def tensor_to_dict(tensor):
 
 
 def tensor_from_dict(data):
-    try:
-        values = np.asarray(data["values"], float)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed tensor record: {exc}") from exc
+    values = _field(data, "tensor record", "values")
     if values.shape != (16,):
         raise ValidationError("tensor record must hold 16 values")
     return EpipolarTensor.from_flat(values)
@@ -101,10 +106,7 @@ def correspondences_to_dict(correspondences):
 
 
 def correspondences_from_dict(data):
-    try:
-        rows = np.asarray(data["rows"], float)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed correspondence record: {exc}") from exc
+    rows = _field(data, "correspondence record", "rows")
     if rows.ndim != 2 or rows.shape[1] != 6:
         raise ValidationError("correspondence rows must have 6 columns")
     return rows

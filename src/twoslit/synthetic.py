@@ -13,9 +13,9 @@ import numpy as np
 
 from . import golden
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, _images, apply_space_transform, inverse_ray, project_points
+from .cameras import TwoSlitCamera, _images, apply_space_transform, project_points
 from .epipolar import _as_correspondences, _factors
-from .projective import COARSE_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL, negligible, primal_matrix
+from .projective import COARSE_TOL, ROUNDOFF, ZERO_TOL, as_vector
 
 RNG_ALGORITHM = "numpy-PCG64"
 STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
@@ -161,48 +161,6 @@ def generate_scene(config=SceneConfig(), cameras=None):
     )
 
 
-def line_point_direction(l):
-    """A finite point on the line and its direction vector."""
-    L = primal_matrix(l)
-    at_inf = L @ np.array([0.0, 0.0, 0.0, 1.0])
-    direction = -at_inf[:3]
-    if negligible(direction, np.linalg.norm(l), ZERO_TOL):
-        raise DegeneracyError("line lies in the plane at infinity")
-    candidates = [L @ w for w in np.eye(4)]
-    best = max(candidates, key=lambda p: abs(p[3]))
-    if negligible(best[3], np.linalg.norm(l), ZERO_TOL):
-        raise DegeneracyError("no finite point found on the line")
-    return best[:3] / best[3], direction / np.linalg.norm(direction)
-
-
-def triangulate_rays(rays):
-    """Least-squares closest space point to a set of rays.
-
-    Returns (homogeneous point, worst distance to any ray). Uses the
-    orthogonal-projection normal equations; near-parallel rays raise.
-    """
-    A = np.zeros((3, 3))
-    b = np.zeros(3)
-    anchors = []
-    for l in rays:
-        p, d = line_point_direction(l)
-        P = np.eye(3) - np.outer(d, d)
-        A += P
-        b += P @ p
-        anchors.append((p, P))
-    w = np.linalg.eigvalsh(A)
-    if w[0] < TOL * max(w[-1], TINY):
-        raise DegeneracyError("rays are nearly parallel; triangulation is ill posed")
-    x = np.linalg.solve(A, b)
-    worst = max(float(np.linalg.norm(P @ (x - p))) for p, P in anchors)
-    return np.append(x, 1.0), worst
-
-
-def triangulate_correspondence(camA, camB, u, v):
-    """Space point nearest to the two viewing rays of a correspondence."""
-    return triangulate_rays([inverse_ray(camA, u), inverse_ray(camB, v)])
-
-
 def _linearize(N, D, t, x):
     """Residuals (N.x)/(D.x) - t at the rows of x, inf where a point
     images at infinity, and their (n, 4, 4) Jacobians."""
@@ -266,11 +224,23 @@ def triangulate_points(camA, camB, correspondences):
     return x, r
 
 
+def _one_row(u, v):
+    return np.append(as_vector(u, 3, "image point"), as_vector(v, 3, "image point"))[None]
+
+
 def refine_triangulation(camA, camB, u, v):
     """Unit homogeneous point triangulated from one correspondence by
     triangulate_points."""
-    row = np.append(np.reshape(u, 3), np.reshape(v, 3))
-    return triangulate_points(camA, camB, row[None])[0][0]
+    return triangulate_points(camA, camB, _one_row(u, v))[0][0]
+
+
+def triangulate_correspondence(camA, camB, u, v):
+    """Point of one correspondence by triangulate_points, scaled to a
+    last coordinate of 1, and its largest absolute image residual."""
+    (x,), (r,) = triangulate_points(camA, camB, _one_row(u, v))
+    if abs(x[3]) < ZERO_TOL:
+        raise DegeneracyError("triangulated point lies at infinity")
+    return x / x[3], float(np.max(np.abs(r)))
 
 
 def reprojection_rms(camA, camB, correspondences):

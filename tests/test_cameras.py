@@ -21,6 +21,7 @@ from twoslit.cameras import (
 from twoslit.congruence import quadratic_project
 from twoslit.errors import ValidationError
 from twoslit.projective import (
+    TOL,
     join_line_point,
     join_points,
     line_in_plane,
@@ -287,3 +288,65 @@ def test_is_parallel_spots_shared_direction():
         np.array([[0.0, 2, 0, 0], [0.0, 0, 1, 1]]),
     )
     assert is_parallel(cam)
+
+
+@pytest.mark.parametrize("zero", ["A1", "A2"])
+def test_zero_matrix_rejected(zero):
+    pair = {"A1": np.array([[1.0, 0, 0, 0], [0, 0, 1, 0]]),
+            "A2": np.array([[0.0, 1, 0, 0], [0, 0, 0, 1]])}
+    pair[zero] = np.zeros((2, 4))
+    with pytest.raises(ValidationError, match=f"{zero} is rank deficient"):
+        TwoSlitCamera(pair["A1"], pair["A2"])
+
+
+def three_svd_check(A1, A2):
+    """Reference: the camera check as it stood with one SVD per matrix
+    and one of the stack of the unit-norm matrices. Returns the message,
+    or None for a valid camera."""
+    for name, A in (("A1", A1), ("A2", A2)):
+        s = np.linalg.svd(A, compute_uv=False)
+        if s[1] < TOL * s[0]:
+            return f"{name} is rank deficient; its null space is not a line"
+    s = np.linalg.svd(np.vstack([A1 / np.linalg.norm(A1), A2 / np.linalg.norm(A2)]),
+                      compute_uv=False)
+    if s[3] < TOL * s[0]:
+        return "slits intersect: the stacked 4x4 matrix is singular"
+    return None
+
+
+def near_threshold_pairs(rng, count):
+    """Camera matrices whose rank or slit-crossing margin lies within a
+    factor 10 of the TOL threshold, or is healthy, scaled by 1e-150 to
+    1e150 each."""
+    def orthogonal(n):
+        return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+    def margin():
+        return TOL * 10 ** rng.uniform(-1, 1)
+
+    for _ in range(count):
+        kind = rng.integers(3)
+        s = [1.0, *rng.uniform(0.1, 1, 3)]
+        if kind == 1:  # slits nearly meet: the stack is nearly singular
+            s[3] = margin()
+        M = orthogonal(4) @ np.diag(s) @ orthogonal(4)
+        pair = [M[:2], M[2:]]
+        if kind == 2:  # one matrix nearly drops rank
+            pair[rng.integers(2)] = orthogonal(2) @ np.diag([1.0, margin()]) @ orthogonal(4)[:2]
+        yield [A * 10 ** rng.uniform(-150, 150) for A in pair]
+
+
+def test_one_svd_check_matches_three_svd_reference():
+    rng = np.random.default_rng(20261018)
+    outcomes = {}
+    for A1, A2 in near_threshold_pairs(rng, 3000):
+        expected = three_svd_check(A1, A2)
+        try:
+            TwoSlitCamera(A1, A2)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes[expected] = outcomes.get(expected, 0) + 1
+    # the sample reaches every verdict, each many times
+    assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes

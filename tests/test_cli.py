@@ -1,14 +1,19 @@
 """Command line behavior: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twoslit
 from twoslit import golden
@@ -309,3 +314,72 @@ def test_unreadable_or_unwritable_file_exits_2(capsys, tmp_path, case):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+GOOD_CAMERA = {"A1": [[1.0, 0, 0, 0], [0, 0, 1, 0]], "A2": [[0.0, 1, 0, 0], [0, 0, 0, 1]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text", [
+    ("project", json.dumps({"camera": {**GOOD_CAMERA, "A1": [[0] * 4] * 2},
+                            "points": [[1, 2, 3]]})),
+    ("project", json.dumps({"camera": GOOD_CAMERA, "points": [[1, 2, 3]]})
+     .replace("[0, 0, 0, 1]", f"[0, 0, 0, {10 ** 400}]")),
+    ("project", json.dumps({"camera": {**GOOD_CAMERA, "A1": [[1, 0, 0], [0, 0, 1, 0]]},
+                            "points": [[1, 2, 3]]})),
+    ("tensor", json.dumps({"rows": [[1, 2, "x", 1, 2, 3]]})),
+], ids=["zero-A1", "huge-integer", "ragged-A1", "text-in-row"])
+def test_malformed_numbers_exit_2(capsys, tmp_path, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_tensor_reads_synth_cameras(capsys, tmp_path):
+    cams = tmp_path / "cams.json"
+    assert run(capsys, "synth", "--points", "8", "--seed", "2",
+               "--out", str(tmp_path / "c.json"), "--cameras-out", str(cams))[0] == 0
+    code, out, _ = run(capsys, "tensor", "--in", str(cams))
+    assert code == 0
+    data = json.loads(out)
+    stored = tsio.read_json(cams)
+    expected = tensor_from_cameras(*(tsio.camera_from_dict(stored, name) for name in "AB"))
+    assert data["source"] == "cameras"
+    assert data["values"] == expected.flat().tolist()
+
+
+_json_scalars = st.one_of(
+    st.integers(), st.integers(min_value=10 ** 300, max_value=10 ** 400),
+    st.floats(), st.text(max_size=3), st.none())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=24)
+_matrices = st.lists(st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3), min_size=4, max_size=4),
+                     min_size=2, max_size=2)
+_cameras = _json_values | st.fixed_dictionaries({"A1": _matrices | _json_values,
+                                                 "A2": _matrices | _json_values})
+_point_rows = st.lists(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=4), max_size=4)
+_cli_inputs = st.one_of(
+    st.tuples(st.just("project"),
+              st.fixed_dictionaries({"camera": _cameras, "points": _point_rows | _json_values})),
+    st.tuples(st.just("tensor"), st.one_of(
+        st.fixed_dictionaries({"cameras": st.fixed_dictionaries({"A": _cameras, "B": _cameras})
+                               | _json_values}),
+        st.fixed_dictionaries({"A": _cameras, "B": _cameras}),
+        st.fixed_dictionaries({"rows": _json_values}))))
+
+
+@given(_cli_inputs)
+@settings(max_examples=300, deadline=None)
+def test_json_fields_never_raise(case):
+    """Any JSON value in any field ends in exit 0, 2 or 3, not in an exception."""
+    command, data = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "in.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, "--in", str(path)]) in (0, 2, 3)

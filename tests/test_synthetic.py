@@ -16,7 +16,7 @@ from twoslit.cameras import (
 from twoslit.epipolar import epipolar_residual, epipolar_residuals, tensor_from_cameras
 from twoslit.errors import DegeneracyError, ValidationError
 from twoslit.experiments import run_sfm_experiment
-from twoslit.projective import join_points, point_on_line, proj_equal
+from twoslit.projective import proj_equal
 from twoslit.synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
@@ -24,7 +24,6 @@ from twoslit.synthetic import (
     default_camera_pair,
     euclidean_transform,
     generate_scene,
-    line_point_direction,
     parallel_camera_pair,
     random_calibrated_cameras,
     random_rotation,
@@ -34,15 +33,8 @@ from twoslit.synthetic import (
     rotation_about_axis,
     triangulate_correspondence,
     triangulate_points,
-    triangulate_rays,
 )
 from twoslit import golden
-
-
-def line_through(point, direction):
-    p = np.append(point, 1.0)
-    q = np.append(np.asarray(point) + np.asarray(direction), 1.0)
-    return join_points(p, q)
 
 
 def test_rotation_about_axis_is_special_orthogonal():
@@ -132,33 +124,6 @@ class TestSceneGeneration:
 
 
 class TestTriangulation:
-    def test_line_point_direction_parameterizes_the_line(self, rng):
-        p = rng.normal(size=3)
-        d = rng.normal(size=3)
-        l = line_through(p, d)
-        point, direction = line_point_direction(l)
-        assert np.isclose(np.linalg.norm(direction), 1.0)
-        assert point_on_line(l, np.append(point, 1.0), tol=1e-9)
-        assert point_on_line(l, np.append(point + direction, 1.0), tol=1e-9)
-
-    def test_line_at_infinity_rejected(self):
-        l = join_points([1.0, 0, 0, 0], [0.0, 1, 0, 0])
-        with pytest.raises(DegeneracyError, match="infinity"):
-            line_point_direction(l)
-
-    def test_rays_meet_at_the_point(self, rng):
-        x = rng.normal(size=3)
-        rays = [line_through(x, rng.normal(size=3)) for _ in range(3)]
-        rec, worst = triangulate_rays(rays)
-        assert worst < 1e-9
-        assert np.allclose(rec[:3] / rec[3], x, atol=1e-9)
-
-    def test_parallel_rays_rejected(self):
-        d = np.array([0.3, -1.0, 0.2])
-        rays = [line_through([0.0, 0, 0], d), line_through([1.0, 0, 0], d)]
-        with pytest.raises(DegeneracyError, match="parallel"):
-            triangulate_rays(rays)
-
     def test_correspondence_round_trip(self, rng):
         camA, camB = default_camera_pair()
         for _ in range(5):
@@ -181,6 +146,26 @@ class TestTriangulation:
         scene = generate_scene(SceneConfig(n_points=12, seed=7, noise_sigma=0.0))
         rms = reprojection_rms(*scene.cameras, scene.correspondences)
         assert rms < 1e-9
+
+    def test_correspondence_of_a_point_at_infinity_is_degenerate(self):
+        camA, camB = default_camera_pair()
+        x = np.array([0.6, -0.3, 0.5, 0.0])
+        with pytest.raises(DegeneracyError, match="infinity"):
+            triangulate_correspondence(camA, camB, project(camA, x), project(camB, x))
+
+    def test_correspondence_residual_is_the_largest_image_residual(self):
+        scene = generate_scene(SceneConfig(n_points=1, seed=9, noise_sigma=1e-3))
+        u, v = scene.correspondences[0, :3], scene.correspondences[0, 3:]
+        point, worst = triangulate_correspondence(*scene.cameras, u, v)
+        _, r = triangulate_points(*scene.cameras, scene.correspondences)
+        assert point[3] == 1.0
+        assert worst == np.max(np.abs(r)) > 0
+
+    @pytest.mark.parametrize("triangulate", [refine_triangulation, triangulate_correspondence])
+    def test_image_point_of_wrong_size_is_invalid(self, triangulate):
+        camA, camB = default_camera_pair()
+        with pytest.raises(ValidationError, match="3 entries"):
+            triangulate(camA, camB, [1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestEuclideanBuilders:
@@ -403,3 +388,4 @@ class TestBatchedSampler:
             generate_scene(config)
             best = min(best, time.perf_counter() - t0)
         assert best < 0.25
+
