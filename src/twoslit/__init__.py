@@ -47,7 +47,6 @@ from .cameras import (
     base_line,
     camera_distance,
     cameras_equal,
-    canonical_pair,
     decompose_parallel,
     decompose_pushbroom,
     default_retinal_plane,
@@ -119,9 +118,8 @@ __all__ = [
     "transversal_homography", "two_slit_essential",
     "ParallelDecomposition", "PushbroomDecomposition", "TwoSlitCamera",
     "apply_space_transform", "base_line", "camera_distance", "cameras_equal",
-    "canonical_pair", "decompose_parallel", "decompose_pushbroom",
-    "default_retinal_plane", "inverse_ray", "is_parallel", "project", "slits",
-    "to_quadratic",
+    "decompose_parallel", "decompose_pushbroom", "default_retinal_plane",
+    "inverse_ray", "is_parallel", "project", "slits", "to_quadratic",
     "EpipolarTensor", "MinorMatrix", "cameras_from_minor_matrix",
     "epipolar_residual", "essential_compose", "essential_decompose",
     "estimate_tensor_linear", "multilinear_transform", "normal_form_transform",

@@ -4,9 +4,8 @@ A camera is a pair of 2x4 matrices (A1, A2). The image of a space
 point x is u = (p1.x q2.x, p2.x q1.x, p2.x q2.x) where p1, p2 are the
 rows of A1 and q1, q2 the rows of A2. The null spaces of A1 and A2 are
 the two slits. Each 2x4 matrix is meaningful up to its own scale, so
-comparisons go through a canonical normalization (unit Frobenius norm,
-sign fixed by the second row); the matrices themselves are stored as
-given so that exact integer data stays exact.
+cameras are compared matrix by matrix with scale_free_gap; the matrices
+themselves are stored as given so that exact integer data stays exact.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .projective import (
     negligible,
     plane_meet_plane,
     point_on_line,
+    scale_free_gap,
 )
 
 
@@ -38,16 +38,6 @@ def _as_pair(A, name):
     if not np.all(np.isfinite(A)):
         raise ValidationError(f"{name} has non-finite entries")
     return A
-
-
-def canonical_pair(A):
-    """Unit Frobenius norm with the first nonzero entry of row 2 positive."""
-    A = np.asarray(A, float)
-    B = A / np.linalg.norm(A)
-    row = B[1]
-    nz = np.nonzero(np.abs(row) > ZERO_TOL)[0]
-    lead = row[nz[0]] if nz.size else B[0][np.nonzero(np.abs(B[0]) > ZERO_TOL)[0][0]]
-    return B if lead > 0 else -B
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,24 +67,11 @@ class TwoSlitCamera:
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "A2", A2)
 
-    @property
-    def stacked(self):
-        return np.vstack([self.A1, self.A2])
-
-    def canonical(self):
-        return canonical_pair(self.A1), canonical_pair(self.A2)
-
 
 def camera_distance(cam1, cam2):
-    """Largest entry difference between canonical forms of two cameras.
-
-    Each matrix is compared up to overall sign, since scaling a whole
-    matrix by -1 does not change the projection."""
-    B1, B2 = cam1.canonical()
-    C1, C2 = cam2.canonical()
-    d1 = min(np.max(np.abs(B1 - C1)), np.max(np.abs(B1 + C1)))
-    d2 = min(np.max(np.abs(B2 - C2)), np.max(np.abs(B2 + C2)))
-    return float(max(d1, d2))
+    """The larger scale_free_gap of the two cameras' A1 and A2 matrices:
+    each matrix counts only up to its own nonzero scale and sign."""
+    return max(scale_free_gap(cam1.A1, cam2.A1), scale_free_gap(cam1.A2, cam2.A2))
 
 
 def cameras_equal(cam1, cam2, tol=TOL):
@@ -121,16 +98,19 @@ def project_points(camera, points):
         raise ValidationError(f"points must be (n, 4), got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValidationError("point has non-finite entries")
-    if np.any(np.linalg.norm(X, axis=1) == 0.0):
-        raise ValidationError("point is the zero vector, which has no projective meaning")
-    u, defined = _images(camera, X)
-    if not np.all(defined):
-        x = X[np.argmin(defined)]
-        if any(negligible(A @ x, np.linalg.norm(x) * np.linalg.norm(A), NEAR_TOL)
-               for A in (camera.A1, camera.A2)):
-            raise ValidationError("point lies on a slit; projection undefined")
-        raise ValidationError(
-            "projection undefined: point lies on the base line p2.x = q2.x = 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        if np.any(np.linalg.norm(X, axis=1) == 0.0):
+            raise ValidationError("point is the zero vector, which has no projective meaning")
+        u, defined = _images(camera, X)
+        if not np.all(np.isfinite(u)):
+            raise ValidationError("image of the point overflows a float")
+        if not np.all(defined):
+            x = X[np.argmin(defined)]
+            if any(negligible(A @ x, np.linalg.norm(x) * np.linalg.norm(A), NEAR_TOL)
+                   for A in (camera.A1, camera.A2)):
+                raise ValidationError("point lies on a slit; projection undefined")
+            raise ValidationError(
+                "projection undefined: point lies on the base line p2.x = q2.x = 0")
     return u
 
 
@@ -226,13 +206,13 @@ def _at_infinity(A):
     return negligible(A[1, :3], np.linalg.norm(A))
 
 
-def is_parallel(camera, tol=FIT_TOL):
+def is_parallel(camera):
     """True when both slits are finite and parallel to a common direction;
-    tol bounds the sine of the angle between them."""
+    FIT_TOL bounds the sine of the angle between them."""
     if _at_infinity(camera.A1) or _at_infinity(camera.A2):
         return False
     m1, m2 = camera.A1[1, :3], camera.A2[1, :3]
-    return negligible(np.cross(m1, m2), np.linalg.norm(m1) * np.linalg.norm(m2), tol)
+    return negligible(np.cross(m1, m2), np.linalg.norm(m1) * np.linalg.norm(m2), FIT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,6 +352,8 @@ def apply_space_transform(camera, H):
     H = np.asarray(H, dtype=float)
     if H.shape != (4, 4):
         raise ValidationError(f"space transform must be 4x4, got {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ValidationError("space transform has non-finite entries")
     s = np.linalg.svd(H, compute_uv=False)
     if s[3] < ZERO_TOL * s[0]:
         raise ValidationError("space transform is singular")

@@ -8,7 +8,6 @@ numerically degenerate data, 141 when standard output closes early.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -34,20 +33,6 @@ from .experiments import SelfcalConfig, run_selfcal_experiment, run_sfm_experime
 from . import io as tsio
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
-
-
-def _emit_json(data, out):
-    _emit(json.dumps(data, indent=2), out)
-
-
 def _infile(args):
     if args.infile is None:
         raise ValidationError(f"{args.command} needs --in FILE")
@@ -58,8 +43,7 @@ def cmd_synth(args):
     config = SceneConfig(n_points=args.points, noise_sigma=args.sigma,
                          seed=args.seed)
     scene = generate_scene(config)
-    _emit(tsio.correspondences_to_text(scene.correspondences, args.format),
-          args.out)
+    tsio.write_correspondences(scene.correspondences, args.out, args.format)
     if args.cameras_out:
         camA, camB = scene.cameras
         tsio.write_json({"A": tsio.camera_to_dict(camA),
@@ -77,7 +61,7 @@ def cmd_project(args):
         raise ValidationError("points must be rows of 3 or 4 coordinates")
     if points.shape[1] == 3:
         points = np.hstack([points, np.ones((len(points), 1))])
-    _emit_json({"images": project_points(camera, points).tolist()}, args.out)
+    tsio.write_json({"images": project_points(camera, points).tolist()}, args.out)
     return 0
 
 
@@ -101,7 +85,7 @@ def cmd_tensor(args):
         out["n_correspondences"] = int(len(corr))
         out["residual_mean"] = float(np.mean(residuals))
         out["residual_max"] = float(np.max(residuals))
-    _emit_json(out, args.out)
+    tsio.write_json(out, args.out)
     return 0
 
 
@@ -120,7 +104,7 @@ def cmd_sfm(args):
         config = SceneConfig(n_points=args.points, noise_sigma=args.sigma,
                              seed=args.seed)
         report = run_sfm_experiment(config)
-    _emit_json(report.to_dict(), args.out)
+    tsio.write_json(report.to_dict(), args.out)
     _raise_if_failed(report)
     return 0
 
@@ -129,7 +113,7 @@ def cmd_selfcal(args):
     config = SelfcalConfig(n_cameras=args.cameras, noise_sigma=args.sigma,
                            seed=args.seed)
     report = run_selfcal_experiment(config)
-    _emit_json(report.to_dict(), args.out)
+    tsio.write_json(report.to_dict(), args.out)
     _raise_if_failed(report)
     return 0
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera
-from .projective import COARSE_TOL, FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL, negligible
+from .projective import COARSE_TOL, FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
+from .projective import negligible, scale_free_gap
 
 MIN_CORRESPONDENCES = 15
 
@@ -67,10 +68,8 @@ class EpipolarTensor:
 
 
 def tensor_gap(t1, t2):
-    """Largest entry difference of two tensors at unit norm, over both signs."""
-    a = t1.values / np.linalg.norm(t1.values)
-    b = t2.values / np.linalg.norm(t2.values)
-    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+    """scale_free_gap of the two tensors' entries."""
+    return scale_free_gap(t1.values, t2.values)
 
 
 def tensors_equal(t1, t2, tol=TOL):
@@ -107,9 +106,14 @@ def tensor_from_cameras(camA, camB):
 
 
 def _as_correspondences(correspondences):
-    corr = np.asarray(correspondences, dtype=float)
+    """correspondences as a finite (n, 6) float array."""
+    what = "correspondences must be (n, 6), rows of 6 columns; got"
+    try:
+        corr = np.asarray(correspondences, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} {exc}") from exc
     if corr.ndim != 2 or corr.shape[1] != 6:
-        raise ValidationError(f"correspondences must be (n, 6), got {corr.shape}")
+        raise ValidationError(f"{what} shape {corr.shape}")
     if not np.all(np.isfinite(corr)):
         raise ValidationError("correspondences contain non-finite values")
     return corr

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegeneracyError, TwoSlitError, ValidationError
 from .cameras import TwoSlitCamera, apply_space_transform, camera_distance
 from .epipolar import (
+    _as_correspondences,
     cameras_from_minor_matrix,
     epipolar_residuals,
     estimate_tensor_linear,
@@ -120,25 +121,26 @@ def run_sfm_pipeline(correspondences, report, truth=None):
     return report
 
 
-def run_sfm_experiment(config=SceneConfig(), cameras=None, correspondences=None):
+def run_sfm_experiment(config=SceneConfig(), correspondences=None):
     """Estimate the tensor and both camera configurations.
 
     With `correspondences` given they are used as is; otherwise a
     synthetic scene is generated from `config` and the recovered
     configurations are additionally judged against the known cameras
     (entry `camera_gap`, and reprojection in the ground-truth frame).
-    Numerical failures during estimation are reported, not raised.
+    Invalid correspondences and numerical failures during estimation
+    are reported, not raised.
     """
     report = SfmReport(seed=config.seed, noise_sigma=config.noise_sigma)
     truth = None
     if correspondences is None:
-        scene = generate_scene(config, cameras=cameras)
+        scene = generate_scene(config)
         correspondences = scene.correspondences
         truth = scene.cameras
-    correspondences = np.asarray(correspondences, float)
-    report.n_points = int(correspondences.shape[0])
-    report.correspondences = correspondences.tolist()
     try:
+        correspondences = _as_correspondences(correspondences)
+        report.n_points = int(correspondences.shape[0])
+        report.correspondences = correspondences.tolist()
         run_sfm_pipeline(correspondences, report, truth=truth)
     except TwoSlitError as exc:
         _record_failure(report, exc)
@@ -195,7 +197,8 @@ def run_selfcal_experiment(config=SelfcalConfig()):
                 Q = rng.normal(size=(4, 4))
         else:
             Q = np.asarray(config.q_matrix, float)
-            if Q.shape != (4, 4) or abs(np.linalg.det(Q)) < MIN_Q_DET:
+            if (Q.shape != (4, 4) or not np.all(np.isfinite(Q))
+                    or abs(np.linalg.det(Q)) < MIN_Q_DET):
                 raise ValidationError("q_matrix must be an invertible 4x4 matrix")
         report.q_true = Q.tolist()
         report.magnifications_true = [

@@ -2,7 +2,8 @@
 
 JSON is the primary format. Correspondence tables can also travel as
 CSV with columns u1,u2,u3,v1,v2,v3. Floats are written with 17
-significant digits so values round-trip exactly.
+significant digits so values round-trip exactly. All output goes
+through write_text, so a file and standard output get the same bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .cameras import TwoSlitCamera
-from .epipolar import EpipolarTensor
+from .epipolar import EpipolarTensor, _as_correspondences
 
 CSV_COLUMNS = ("u1", "u2", "u3", "v1", "v2", "v3")
 
@@ -64,9 +65,7 @@ def tensor_from_dict(data):
 
 
 def correspondences_to_csv(correspondences, stream):
-    corr = np.asarray(correspondences, float)
-    if corr.ndim != 2 or corr.shape[1] != 6:
-        raise ValidationError("correspondences must be an (n, 6) array")
+    corr = _as_correspondences(correspondences)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in corr:
@@ -99,23 +98,29 @@ def correspondences_from_csv(stream):
 
 
 def correspondences_to_dict(correspondences):
-    corr = np.asarray(correspondences, float)
-    if corr.ndim != 2 or corr.shape[1] != 6:
-        raise ValidationError("correspondences must be an (n, 6) array")
-    return {"columns": list(CSV_COLUMNS), "rows": corr.tolist()}
+    return {"columns": list(CSV_COLUMNS), "rows": _as_correspondences(correspondences).tolist()}
 
 
 def correspondences_from_dict(data):
-    rows = _field(data, "correspondence record", "rows")
-    if rows.ndim != 2 or rows.shape[1] != 6:
-        raise ValidationError("correspondence rows must have 6 columns")
-    return rows
+    return _as_correspondences(_field(data, "correspondence record", "rows"))
+
+
+def write_text(text, path):
+    """Write text, ending in one newline, to the file path, or to standard
+    output when path is None; both get the same bytes."""
+    if path is None:
+        # print writes the newline separately, and its flush raises
+        # BrokenPipeError when the reader has left; one write of the
+        # whole text can come back short and raise nothing
+        print(text.removesuffix("\n"))
+        return
+    # line ends stay "\n" untranslated on every platform
+    with open(path, "w", newline="") as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def write_json(data, path):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    write_text(json.dumps(data, indent=2), path)
 
 
 def read_json(path):
@@ -130,10 +135,7 @@ def read_json(path):
 
 
 def write_correspondences(correspondences, path, fmt="json"):
-    text = correspondences_to_text(correspondences, fmt)
-    # csv rows keep their "\n" ends untranslated on every platform
-    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+    write_text(correspondences_to_text(correspondences, fmt), path)
 
 
 def correspondence_format(path, fmt=None):

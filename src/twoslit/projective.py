@@ -61,6 +61,14 @@ def proj_equal(a, b, tol=TOL):
     return cosine_distance(a, b) < tol
 
 
+def scale_free_gap(a, b):
+    """Largest entry difference of two nonzero arrays at unit Frobenius
+    norm, minimized over both signs; 0 when they agree up to scale."""
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+
+
 def join_points(x, y):
     """Plucker coordinates of the line through two distinct points.
 
@@ -117,9 +125,9 @@ def quadric_residual(l):
     return abs(float(l @ line_star(l))) / n
 
 
-def validate_line(l, tol=COARSE_TOL):
+def validate_line(l):
     l = as_vector(l, 6, "line")
-    if quadric_residual(l) > tol:
+    if quadric_residual(l) > COARSE_TOL:
         raise ValidationError("coordinates violate the line quadric constraint")
     return l
 
@@ -194,10 +202,10 @@ class RetinalFrame:
 
     def __post_init__(self):
         Y = np.asarray(self.basis, float)
-        if Y.shape != (3, 4) and Y.shape != (4, 3):
+        if Y.shape != (4, 3):
             raise ValidationError(f"frame basis must be 4x3, got {Y.shape}")
-        if Y.shape == (3, 4):
-            Y = Y.T
+        if not np.all(np.isfinite(Y)):
+            raise ValidationError("frame basis has non-finite entries")
         s = np.linalg.svd(Y, compute_uv=False)
         if s[2] < ZERO_TOL * s[0]:
             raise ValidationError("frame points are collinear or coincident")
@@ -223,10 +231,10 @@ class RetinalFrame:
     def points(self):
         return self.basis[:, 0], self.basis[:, 1], self.basis[:, 2]
 
-    def coords(self, y, tol=NEAR_TOL):
+    def coords(self, y):
         """Frame coordinates of an on-plane point via the pseudoinverse."""
         y = as_vector(y, 4, "point")
-        if not negligible(self.plane @ y, np.linalg.norm(self.plane) * np.linalg.norm(y), tol):
+        if not negligible(self.plane @ y, np.linalg.norm(self.plane) * np.linalg.norm(y), NEAR_TOL):
             raise ValidationError("point does not lie on the frame's plane")
         Y = self.basis
         return np.linalg.solve(Y.T @ Y, Y.T @ y)

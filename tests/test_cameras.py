@@ -19,9 +19,11 @@ from twoslit.cameras import (
     to_quadratic,
 )
 from twoslit.congruence import quadratic_project
+from twoslit.epipolar import tensor_from_cameras, tensor_gap
 from twoslit.errors import ValidationError
 from twoslit.projective import (
     TOL,
+    ZERO_TOL,
     join_line_point,
     join_points,
     line_in_plane,
@@ -350,3 +352,62 @@ def test_one_svd_check_matches_three_svd_reference():
         outcomes[expected] = outcomes.get(expected, 0) + 1
     # the sample reaches every verdict, each many times
     assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_image_rejected():
+    """A finite point whose image products overflow has no image, and
+    raises without a numpy warning; large representable images stay."""
+    cam = TwoSlitCamera([[1.0, 0, 0, 0], [0, 0, 1, 0]], [[0.0, 1, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValidationError, match="overflows a float"):
+        project(cam, [1e200, 2e200, 3e200, 1])
+    assert np.allclose(project(cam, [1e80, 2e80, 3e80, 1]), [1e80, 6e160, 3e80], rtol=1e-15)
+
+
+def canonical_pair(A):
+    """Reference: the sign-canonical form cameras were once compared in,
+    unit Frobenius norm with the first nonzero entry of row 2 positive."""
+    A = np.asarray(A, float)
+    B = A / np.linalg.norm(A)
+    row = B[1]
+    nz = np.nonzero(np.abs(row) > ZERO_TOL)[0]
+    lead = row[nz[0]] if nz.size else B[0][np.nonzero(np.abs(B[0]) > ZERO_TOL)[0][0]]
+    return B if lead > 0 else -B
+
+
+def canonical_camera_distance(cam1, cam2):
+    """Reference: camera_distance as it stood, through canonical forms."""
+    B1, B2 = canonical_pair(cam1.A1), canonical_pair(cam1.A2)
+    C1, C2 = canonical_pair(cam2.A1), canonical_pair(cam2.A2)
+    d1 = min(np.max(np.abs(B1 - C1)), np.max(np.abs(B1 + C1)))
+    d2 = min(np.max(np.abs(B2 - C2)), np.max(np.abs(B2 + C2)))
+    return float(max(d1, d2))
+
+
+def unit_norm_tensor_gap(t1, t2):
+    """Reference: tensor_gap as it stood, with its own normalization."""
+    a = t1.values / np.linalg.norm(t1.values)
+    b = t2.values / np.linalg.norm(t2.values)
+    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+
+
+def rescaled_copy(camera, rng):
+    """camera moved off by 0 or 1e-15 to 1e-1, then each matrix scaled by
+    a random sign and a magnitude from 1e-3 to 1e3."""
+    eps = 0.0 if rng.random() < 0.25 else 10 ** rng.uniform(-15, -1)
+    return TwoSlitCamera(*((A + eps * rng.normal(size=(2, 4)))
+                           * rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3)
+                           for A in (camera.A1, camera.A2)))
+
+
+def test_scale_free_gap_matches_canonical_forms():
+    """Comparing at unit norm over both signs gives bit for bit what the
+    canonical sign form gave, for cameras and for their tensors."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        camA, camB = random_camera(rng), random_camera(rng)
+        copyA, copyB = rescaled_copy(camA, rng), rescaled_copy(camB, rng)
+        for cam1, cam2 in ((camA, copyA), (camB, copyB), (camA, camB)):
+            assert camera_distance(cam1, cam2) == canonical_camera_distance(cam1, cam2)
+        t1, t2 = tensor_from_cameras(camA, camB), tensor_from_cameras(copyA, copyB)
+        assert tensor_gap(t1, t2) == unit_norm_tensor_gap(t1, t2)

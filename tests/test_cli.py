@@ -383,3 +383,33 @@ def test_json_fields_never_raise(case):
         path.write_text(json.dumps(data))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main([command, "--in", str(path)]) in (0, 2, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_image_exits_2(capsys, tmp_path):
+    """An image too large for a float is an input error, not `Infinity`."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"camera": GOOD_CAMERA, "points": [[1e200, 2e200, 3e200]]}))
+    code, out, err = run(capsys, "project", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "overflows" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--points", "9", "--seed", "3"],
+    ["synth", "--points", "9", "--seed", "3", "--format", "csv"],
+    ["project", "--in", "{project}"],
+    ["tensor", "--in", "{csv}"],
+    ["sfm", "--points", "20", "--seed", "1", "--sigma", "1e-4"],
+    ["selfcal", "--cameras", "6", "--seed", "2"],
+], ids=["synth-json", "synth-csv", "project", "tensor", "sfm", "selfcal"])
+def test_stdout_and_out_file_get_the_same_bytes(capsys, tmp_path, argv):
+    inputs = {"project": tmp_path / "p.json", "csv": tmp_path / "c.csv"}
+    inputs["project"].write_text(json.dumps({"camera": GOOD_CAMERA, "points": [[1, 2, 3]]}))
+    assert run(capsys, "synth", "--points", "20", "--format", "csv",
+               "--out", str(inputs["csv"]))[0] == 0
+    argv = [arg.format(**inputs) for arg in argv]
+    out_file = tmp_path / "out"
+    code, out, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(out_file))[0] == code == 0
+    assert out_file.read_bytes() == out.encode()

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from twoslit.cameras import apply_space_transform
 from twoslit.errors import ValidationError
 from twoslit.experiments import (
     SelfcalConfig,
@@ -14,6 +15,7 @@ from twoslit.experiments import (
     run_sfm_experiment,
 )
 from twoslit.golden import REFERENCE_MAGNIFICATIONS, REFERENCE_Q
+from twoslit.projective import RetinalFrame
 from twoslit.synthetic import (
     SceneConfig,
     generate_scene,
@@ -191,3 +193,31 @@ def test_selfcal_rig_keeps_the_random_stream(seed):
     reference = per_matrix_noisy_cameras(config)
     assert got.shape == reference.shape
     assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def reported(report):
+    """Raise the ValidationError a failed report records."""
+    assert not report.ok and report.error_kind == "validation"
+    raise ValidationError(report.error)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: apply_space_transform(reference_camera_pair()[0], np.full((4, 4), np.nan)),
+     "non-finite"),
+    (lambda: apply_space_transform(reference_camera_pair()[0], np.diag([1.0, 1, 1, np.inf])),
+     "non-finite"),
+    (lambda: RetinalFrame(np.full((4, 3), np.nan)), "non-finite"),
+    (lambda: reported(run_sfm_experiment(correspondences=5)), r"\(n, 6\)"),
+    (lambda: reported(run_sfm_experiment(correspondences=[[1, 2], [3]])), r"\(n, 6\)"),
+    (lambda: reported(run_selfcal_experiment(SelfcalConfig(
+        n_cameras=6, q_matrix=tuple(np.full((4, 4), np.nan).tolist())))), "q_matrix"),
+    (lambda: reported(run_selfcal_experiment(SelfcalConfig(
+        n_cameras=6, q_matrix=tuple(np.diag([1.0, 1, 1, np.inf]).tolist())))), "q_matrix"),
+], ids=["nan-transform", "inf-transform", "nan-frame", "scalar-correspondences",
+        "ragged-correspondences", "nan-q-matrix", "inf-q-matrix"])
+@pytest.mark.filterwarnings("error")
+def test_bad_arguments_end_in_validation_errors(call, message):
+    """Library entry points answer a bad argument with a ValidationError,
+    raised or recorded in the report, not with a bare numpy error."""
+    with pytest.raises(ValidationError, match=message):
+        call()
