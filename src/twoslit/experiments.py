@@ -25,6 +25,7 @@ from .epipolar import (
     tensor_from_cameras,
     tensor_gap,
 )
+from .io import _field
 from .selfcal import DualAbsoluteQuadric, estimate_daq, extract_upgrade, similarity_defect
 from .synthetic import (
     RNG_ALGORITHM,
@@ -68,8 +69,8 @@ class SfmReport(_Report):
     n_points: int = 0
     correspondences: list = field(default_factory=list)
     estimated_tensor: list = field(default_factory=list)
-    residual_mean: float = np.nan
-    residual_max: float = np.nan
+    residual_mean: float | None = None  # None: not computed
+    residual_max: float | None = None
     candidates: list = field(default_factory=list)  # {matrix, residual}
     configurations: list = field(default_factory=list)
     equivalent_configuration: int | None = None
@@ -166,13 +167,13 @@ class SelfcalReport(_Report):
     q_true: list = field(default_factory=list)
     cameras: list = field(default_factory=list)  # noisy inputs, per camera
     daq: list = field(default_factory=list)
-    daq_true_gap: float = np.nan
+    daq_true_gap: float | None = None  # None: not computed
     eigenvalues: list = field(default_factory=list)
     q_prime: list = field(default_factory=list)
-    similarity_defect: float = np.nan
+    similarity_defect: float | None = None
     magnifications_true: list = field(default_factory=list)
     magnifications_recovered: list = field(default_factory=list)
-    magnification_max_error: float = np.nan
+    magnification_max_error: float | None = None
     ok: bool = False
     error: str = ""
     error_kind: str = ""
@@ -189,14 +190,16 @@ def run_selfcal_experiment(config=SelfcalConfig()):
     try:
         if config.n_cameras < 1:
             raise ValidationError("need a positive number of cameras")
-        cams, cals = random_calibrated_cameras(
-            config.n_cameras, rng, first=config.first_camera_magnifications)
+        first = config.first_camera_magnifications
+        if first is not None and _field(first, "first_camera_magnifications").shape != (2,):
+            raise ValidationError("first_camera_magnifications must hold two magnifications")
+        cams, cals = random_calibrated_cameras(config.n_cameras, rng, first=first)
         if config.q_matrix is None:
             Q = rng.normal(size=(4, 4))
             while abs(np.linalg.det(Q)) < 0.1:
                 Q = rng.normal(size=(4, 4))
         else:
-            Q = np.asarray(config.q_matrix, float)
+            Q = _field(config.q_matrix, "q_matrix")
             if (Q.shape != (4, 4) or not np.all(np.isfinite(Q))
                     or abs(np.linalg.det(Q)) < MIN_Q_DET):
                 raise ValidationError("q_matrix must be an invertible 4x4 matrix")

@@ -120,7 +120,7 @@ def write_text(text, path):
 
 
 def write_json(data, path):
-    write_text(json.dumps(data, indent=2), path)
+    write_text(json.dumps(data, indent=2, allow_nan=False), path)
 
 
 def read_json(path):
@@ -135,31 +135,24 @@ def read_json(path):
 
 
 def write_correspondences(correspondences, path, fmt="json"):
-    write_text(correspondences_to_text(correspondences, fmt), path)
+    if correspondence_format(path, fmt) == "json":
+        return write_json(correspondences_to_dict(correspondences), path)
+    buf = _io.StringIO()
+    correspondences_to_csv(correspondences, buf)
+    write_text(buf.getvalue(), path)
 
 
 def correspondence_format(path, fmt=None):
-    """fmt if given, else csv for a .csv file name and json otherwise."""
+    """fmt, json or csv, if given; else csv for a .csv file name and json."""
     if fmt is None:
         return "csv" if str(path).lower().endswith(".csv") else "json"
+    if fmt not in ("json", "csv"):
+        raise ValidationError(f"unknown format {fmt!r}; use json or csv")
     return fmt
 
 
 def read_correspondences(path, fmt=None):
-    fmt = correspondence_format(path, fmt)
-    if fmt == "json":
+    if correspondence_format(path, fmt) == "json":
         return correspondences_from_dict(read_json(path))
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            return correspondences_from_csv(fh)
-    raise ValidationError(f"unknown format {fmt!r}; use json or csv")
-
-
-def correspondences_to_text(correspondences, fmt="json"):
-    if fmt == "json":
-        return json.dumps(correspondences_to_dict(correspondences), indent=2)
-    if fmt == "csv":
-        buf = _io.StringIO()
-        correspondences_to_csv(correspondences, buf)
-        return buf.getvalue()
-    raise ValidationError(f"unknown format {fmt!r}; use json or csv")
+    with open(path, newline="") as fh:
+        return correspondences_from_csv(fh)

@@ -15,7 +15,7 @@ from . import golden
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _images, apply_space_transform, project_points
 from .epipolar import _as_correspondences, _factors
-from .projective import COARSE_TOL, ROUNDOFF, ZERO_TOL, as_vector
+from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector
 
 RNG_ALGORITHM = "numpy-PCG64"
 STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
@@ -110,8 +110,9 @@ def generate_scene(config=SceneConfig(), cameras=None):
     zero-mean gaussian noise of the configured sigma is added to the
     inhomogeneous image coordinates.
     """
-    if config.n_points < 1:
-        raise ValidationError("scene needs at least one point")
+    n = config.n_points
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"scene needs at least one point, as an integer; got {n!r}")
     if not 0 <= config.noise_sigma < np.inf:
         raise ValidationError("noise sigma must be finite and cannot be negative")
     rng = np.random.default_rng(config.seed)
@@ -171,11 +172,18 @@ def _linearize(N, D, t, x):
     return r, J
 
 
-def _gauss_newton_steps(J, r):
-    """Minimum-norm solutions of J s = -r. The residuals are homogeneous
-    of degree 0, so J x = 0: pinv drops x and each step is tangent to
-    the unit sphere at its point."""
-    return -np.einsum("nij,nj->ni", np.linalg.pinv(J, rcond=ZERO_TOL), r)
+def _gauss_newton_steps(J, r, x):
+    """Least-squares solutions of J s = -r by one batched 4x4 solve. As
+    J x = 0 at the unit points x, t x x^T (t = trace J^T J) pins the free
+    direction of the normal matrix: for J of rank 3 the step is pinv's,
+    tangent at x. A determinant factoring to <= 0 marks lower rank; a
+    ridge of ROUNDOFF t (TINY for J = 0) there keeps the solve regular."""
+    Jt = J.transpose(0, 2, 1)
+    A = Jt @ J
+    t = np.trace(A, axis1=1, axis2=2)
+    A += t[:, None, None] * x[:, :, None] * x[:, None, :]
+    A += np.where(np.linalg.det(A) <= 0, ROUNDOFF * t + TINY, 0.0)[:, None, None] * np.eye(4)
+    return -np.linalg.solve(A, Jt @ r[..., None])[..., 0]
 
 
 def triangulate_points(camA, camB, correspondences):
@@ -185,10 +193,10 @@ def triangulate_points(camA, camB, correspondences):
 
     Each image coordinate fixes a plane through the point, such as
     u3 p1 - u1 p2 for u1/u3. A point starts at the least-squares common
-    point of its four unit planes, exact for noiseless data, and
-    Gauss-Newton on the unit sphere refines all points at once, halving
-    a point's step until it lowers the residual. A point stops after
-    trying a step shorter than STEP_TOL.
+    point of its four unit planes (one batched SVD), exact for noiseless
+    data. Gauss-Newton on the unit sphere refines all points at once, one
+    batched 4x4 solve per pass, halving a point's step until it lowers
+    the residual. A point stops after trying a step shorter than STEP_TOL.
     """
     z, w = _factors(_as_correspondences(correspondences)).transpose(2, 1, 0)
     if np.any(np.abs(w) <= ROUNDOFF * np.abs(z)):
@@ -203,7 +211,7 @@ def triangulate_points(camA, camB, correspondences):
     if not np.all(np.isfinite(r)):
         raise DegeneracyError("triangulated point projects to infinity")
     cost = np.sum(r * r, axis=1)
-    step = _gauss_newton_steps(J, r)
+    step = _gauss_newton_steps(J, r, x)
     length = np.ones(len(x))
     live = np.arange(len(x))
     for _ in range(MAX_PASSES):
@@ -217,7 +225,7 @@ def triangulate_points(camA, camB, correspondences):
         better = ct < cost[live]
         won = live[better]
         x[won], r[won], cost[won] = trial[better], rt[better], ct[better]
-        step[won] = _gauss_newton_steps(Jt[better], rt[better])
+        step[won] = _gauss_newton_steps(Jt[better], rt[better], trial[better])
         length[won] = 1.0
         length[live[~better]] *= 0.5
         live = live[tried >= STEP_TOL]

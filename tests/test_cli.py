@@ -413,3 +413,21 @@ def test_stdout_and_out_file_get_the_same_bytes(capsys, tmp_path, argv):
     code, out, _ = run(capsys, *argv)
     assert run(capsys, *argv, "--out", str(out_file))[0] == code == 0
     assert out_file.read_bytes() == out.encode()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("argv, blank", [
+    (("sfm", "--points", "5"), ("residual_mean", "residual_max")),
+    (("selfcal", "--cameras", "0"),
+     ("daq_true_gap", "similarity_defect", "magnification_max_error")),
+], ids=["sfm", "selfcal"])
+def test_failed_report_is_strict_json(capsys, argv, blank):
+    """A failed run writes null for what it did not compute, never NaN."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert not report["ok"]
+    assert all(report[key] is None for key in blank)

@@ -221,3 +221,14 @@ def test_bad_arguments_end_in_validation_errors(call, message):
     raised or recorded in the report, not with a bare numpy error."""
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q_matrix", [[1, 2], [3]]),
+    ("q_matrix", "abc"),
+    ("first_camera_magnifications", (1,)),
+], ids=["ragged-q-matrix", "text-q-matrix", "one-magnification"])
+@pytest.mark.filterwarnings("error")
+def test_malformed_selfcal_config_names_its_field(field, value):
+    with pytest.raises(ValidationError, match=field):
+        reported(run_selfcal_experiment(SelfcalConfig(n_cameras=6, **{field: value})))

@@ -35,6 +35,8 @@ from twoslit.synthetic import (
     triangulate_points,
 )
 from twoslit import golden
+from twoslit.projective import ZERO_TOL
+from twoslit.synthetic import _gauss_newton_steps
 
 
 def test_rotation_about_axis_is_special_orthogonal():
@@ -286,6 +288,96 @@ class TestTriangulationKernel:
             reprojection_rms(*scene.cameras, corr)
         with pytest.raises(DegeneracyError, match="measured image point"):
             refine_triangulation(*scene.cameras, corr[4, :3], corr[4, 3:])
+
+
+def pinv_steps(J, r):
+    """The step kernel as it was before the augmented solve: one batched
+    pseudo-inverse of the Jacobians."""
+    return -np.einsum("nij,nj->ni", np.linalg.pinv(J, rcond=ZERO_TOL), r)
+
+
+def tangent_jacobians(rng, n):
+    """n random Jacobians J with J x = 0 at random unit points x, and
+    random residuals."""
+    x = rng.normal(size=(n, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    J = rng.normal(size=(n, 4, 4)) @ (np.eye(4) - x[:, :, None] * x[:, None, :])
+    return J, rng.normal(size=(n, 4)), x
+
+
+class TestGaussNewtonSteps:
+    def test_steps_match_the_pinv_kernel(self, rng):
+        J, r, x = tangent_jacobians(rng, 2000)
+        steps, reference = _gauss_newton_steps(J, r, x), pinv_steps(J, r)
+        gap = np.linalg.norm(steps - reference, axis=1) / np.linalg.norm(reference, axis=1)
+        assert np.max(gap) < 1e-10
+
+    def test_steps_are_tangent_to_the_sphere(self, rng):
+        J, r, x = tangent_jacobians(rng, 2000)
+        steps = _gauss_newton_steps(J, r, x)
+        along = np.abs(np.sum(steps * x, axis=1)) / np.linalg.norm(steps, axis=1)
+        assert np.max(along) < 1e-14
+
+    @pytest.mark.parametrize("J", [
+        np.diag([1.0, 1, 0, 0]),
+        np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    ], ids=["rank-2", "rank-1"])
+    def test_rank_deficient_jacobian_gets_the_pinv_step(self, J):
+        """At x = e4 the pinned normal matrix of these J is singular in
+        floating point, so a plain solve of it raises LinAlgError."""
+        x, r = np.array([[0.0, 0, 0, 1]]), np.array([[1.0, 2, 3, 4]])
+        pinned = J.T @ J + np.trace(J.T @ J) * np.outer(x, x)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(pinned, r[0])
+        steps = _gauss_newton_steps(J[None], r, x)
+        assert np.allclose(steps, pinv_steps(J[None], r), rtol=1e-12, atol=0)
+
+    def test_rank_deficient_jacobians_never_raise(self, rng):
+        """Integer Jacobians of rank 0 to 2 at x = e4, whose pinned normal
+        matrices are singular and often exactly so after rounding: every
+        step is finite and tangent, and it lowers the linearized residual
+        as far as the pinv step does."""
+        n = 2000
+        U = rng.integers(-2, 3, (n, 4, 2)) * (np.arange(2) < rng.integers(0, 3, (n, 1, 1)))
+        V = rng.integers(-2, 3, (n, 2, 4)) * [1, 1, 1, 0]
+        J = (U @ V).astype(float)
+        x, r = np.tile([0.0, 0, 0, 1], (n, 1)), rng.normal(size=(n, 4))
+        steps = _gauss_newton_steps(J, r, x)
+        assert np.all(np.isfinite(steps))
+        assert np.all(steps[:, 3] == 0)
+        reached = np.linalg.norm(np.einsum("nij,nj->ni", J, steps) + r, axis=1)
+        best = np.linalg.norm(np.einsum("nij,nj->ni", J, pinv_steps(J, r)) + r, axis=1)
+        assert np.all(reached <= best + 1e-12 * np.linalg.norm(r, axis=1))
+
+
+def test_triangulation_factorizes_only_its_start(monkeypatch):
+    """One triangulate_points call on a noisy scene makes one SVD, that of
+    the starting planes, and no pseudo-inverse, however many passes its
+    Gauss-Newton refinement takes."""
+    scene = generate_scene(SceneConfig(n_points=50, noise_sigma=1e-3, seed=2, image_scale=100))
+    calls = {"svd": 0, "pinv": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    _, R = triangulate_points(*scene.cameras, scene.correspondences)
+    assert calls == {"svd": 1, "pinv": 0}
+    assert np.sqrt(np.mean(R ** 2)) < 1e-2
+
+
+@pytest.mark.parametrize("n_points", [2.5, True, "70", None])
+def test_non_integer_point_count_is_invalid_before_sampling(n_points, monkeypatch):
+    def no_sampling(seed):
+        raise AssertionError("generate_scene sampled before validating n_points")
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(ValidationError, match="integer"):
+        generate_scene(SceneConfig(n_points=n_points))
+
+
+def test_numpy_integer_point_count_is_valid():
+    scene = generate_scene(SceneConfig(n_points=np.int64(9), seed=4))
+    assert scene.correspondences.shape == (9, 6)
 
 
 def scalar_scene(config, cameras=None):
