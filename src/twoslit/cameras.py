@@ -35,9 +35,53 @@ def _as_pair(A, name):
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 4):
         raise ValidationError(f"{name} must be 2x4, got {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValidationError(f"{name} has non-finite entries")
     return A
+
+
+def _check_rig(A):
+    """Raise the ValidationError of the first invalid camera of an
+    (n, 2, 2, 4) float stack of (A1, A2) pairs.
+
+    A rank-deficient pair makes the stack of the unit-norm pairs
+    singular too (the stack's s4 is at most the pair's s2, its s1 at
+    least the pair's s1), so one batched SVD decides for the whole rig;
+    a camera with a non-finite entry enters it as zeros and fails, as
+    does a zero pair. Only the first failing camera gets the per-pair
+    checks that name the fault."""
+    if A.ndim != 4 or A.shape[1:] != (2, 2, 4):
+        raise ValidationError(f"camera stack must be (n, 2, 2, 4), got {A.shape}")
+    B = A
+    if not np.isfinite(A).all():
+        B = np.where(np.isfinite(A).all(axis=(1, 2, 3))[:, None, None, None], A, 0.0)
+    norms = np.sqrt((B * B).sum(axis=(2, 3), keepdims=True))
+    s = np.linalg.svd((B / np.maximum(norms, TINY)).reshape(-1, 4, 4), compute_uv=False)
+    bad = s[:, 3] <= TOL * s[:, 0]
+    if not bad.any():
+        return
+    pair = tuple(zip(("A1", "A2"), A[np.argmax(bad)]))
+    for name, M in pair:
+        if not np.all(np.isfinite(M)):
+            raise ValidationError(f"{name} has non-finite entries")
+    for name, M in pair:
+        s = np.linalg.svd(M, compute_uv=False)
+        if s[1] <= TOL * s[0]:
+            raise ValidationError(f"{name} is rank deficient; its null space is not a line")
+    raise ValidationError("slits intersect: the stacked 4x4 matrix is singular")
+
+
+def _rig(A):
+    """The cameras of an (n, 2, 2, 4) stack of (A1, A2) pairs, checked
+    by one _check_rig call instead of one __post_init__ each; each
+    camera holds views into the stack."""
+    A = np.asarray(A, dtype=float)
+    _check_rig(A)
+    cams = []
+    for A1, A2 in zip(A[:, 0], A[:, 1]):
+        cam = object.__new__(TwoSlitCamera)
+        object.__setattr__(cam, "A1", A1)
+        object.__setattr__(cam, "A2", A2)
+        cams.append(cam)
+    return cams
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,22 +92,9 @@ class TwoSlitCamera:
     A2: np.ndarray
 
     def __post_init__(self):
-        """A rank-deficient pair makes the stack of the unit-norm pairs
-        singular too (the stack's s4 is at most the pair's s2, its s1 at
-        least the pair's s1), so one SVD decides; the pairs' own SVDs
-        only name the fault. A zero pair fails both tests."""
         A1 = _as_pair(self.A1, "A1")
         A2 = _as_pair(self.A2, "A2")
-        stacked = np.vstack([A / max(np.linalg.norm(A), TINY) for A in (A1, A2)])
-        s = np.linalg.svd(stacked, compute_uv=False)
-        if s[3] <= TOL * s[0]:
-            for name, A in (("A1", A1), ("A2", A2)):
-                s = np.linalg.svd(A, compute_uv=False)
-                if s[1] <= TOL * s[0]:
-                    raise ValidationError(
-                        f"{name} is rank deficient; its null space is not a line")
-            raise ValidationError(
-                "slits intersect: the stacked 4x4 matrix is singular")
+        _check_rig(np.array([(A1, A2)]))
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "A2", A2)
 

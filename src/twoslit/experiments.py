@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DegeneracyError, TwoSlitError, ValidationError
-from .cameras import TwoSlitCamera, apply_space_transform, camera_distance
+from .cameras import _rig, apply_space_transform, camera_distance
 from .epipolar import (
     _as_correspondences,
     cameras_from_minor_matrix,
@@ -30,6 +30,7 @@ from .selfcal import DualAbsoluteQuadric, estimate_daq, extract_upgrade, similar
 from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
+    _count,
     generate_scene,
     random_calibrated_cameras,
     reprojection_rms,
@@ -184,16 +185,14 @@ def run_selfcal_experiment(config=SelfcalConfig()):
     and measure how well self-calibration undoes it."""
     if not 0 <= config.noise_sigma < np.inf:
         raise ValidationError("noise sigma must be finite and cannot be negative")
-    report = SelfcalReport(seed=config.seed, noise_sigma=config.noise_sigma,
-                           n_cameras=config.n_cameras)
+    n = _count(config.n_cameras, "n_cameras")
+    report = SelfcalReport(seed=config.seed, noise_sigma=config.noise_sigma, n_cameras=n)
     rng = np.random.default_rng(config.seed)
     try:
-        if config.n_cameras < 1:
+        if n < 1:
             raise ValidationError("need a positive number of cameras")
-        first = config.first_camera_magnifications
-        if first is not None and _field(first, "first_camera_magnifications").shape != (2,):
-            raise ValidationError("first_camera_magnifications must hold two magnifications")
-        cams, cals = random_calibrated_cameras(config.n_cameras, rng, first=first)
+        cams, cals = random_calibrated_cameras(
+            n, rng, first=config.first_camera_magnifications)
         if config.q_matrix is None:
             Q = rng.normal(size=(4, 4))
             while abs(np.linalg.det(Q)) < 0.1:
@@ -210,7 +209,7 @@ def run_selfcal_experiment(config=SelfcalConfig()):
         A = np.array([(cam.A1, cam.A2) for cam in cams]) @ np.linalg.inv(Q)
         A = A / np.linalg.norm(A, axis=(2, 3), keepdims=True)
         A = A + rng.normal(0.0, config.noise_sigma, A.shape)
-        noisy = [TwoSlitCamera(A1, A2) for A1, A2 in A]
+        noisy = _rig(A)
         report.cameras = [{"A1": A1.tolist(), "A2": A2.tolist()} for A1, A2 in A]
 
         daq = estimate_daq(noisy)

@@ -11,7 +11,8 @@ upgrading transform.
 
 Both steps take the whole rig as one (n, 2, 2, 4) array of camera
 matrices: one design row per matrix from the outer product of its two
-rows, and one stacked triangular factorization for every calibration.
+rows, one stacked triangular factorization for every calibration, and
+one rig check for every upgraded camera.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, _rq_2x3
+from .cameras import _rig, _rq_2x3
 from .projective import TINY, TOL, ZERO_TOL
 
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
@@ -126,7 +127,7 @@ def extract_upgrade(daq, cameras):
     rows = np.linalg.norm(U[..., :3], axis=-1)
     return UpgradeResult(
         q_prime=q_prime, eigenvalues=lam,
-        upgraded=[TwoSlitCamera(A1, A2) for A1, A2 in U],
+        upgraded=_rig(U),
         calibrations=[tuple(Ks) for Ks in K / K[..., 1:, 1:]],
         magnifications=[tuple(m) for m in (rows[..., 0] / rows[..., 1]).tolist()])
 

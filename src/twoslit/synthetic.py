@@ -13,8 +13,9 @@ import numpy as np
 
 from . import golden
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, _images, apply_space_transform, project_points
+from .cameras import TwoSlitCamera, _images, _rig, apply_space_transform, project_points
 from .epipolar import _as_correspondences, _factors
+from .io import _field
 from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector
 
 RNG_ALGORITHM = "numpy-PCG64"
@@ -258,14 +259,28 @@ def reprojection_rms(camA, camB, correspondences):
     return float(np.sqrt(np.mean(r ** 2)))
 
 
+def _rotations(M):
+    """Rotations from the QR factorizations of an (n, 3, 3) stack, each
+    Q's columns signed by R's diagonal and its last flipped if det < 0."""
+    Q, R = np.linalg.qr(M)
+    Q = Q * np.where(np.diagonal(R, axis1=1, axis2=2) >= 0, 1.0, -1.0)[:, None, :]
+    Q[np.linalg.det(Q) < 0, :, 2] *= -1
+    return np.swapaxes(Q, 1, 2)
+
+
 def random_rotation(rng):
     """Haar-ish random rotation from a QR factorization."""
-    M = rng.normal(size=(3, 3))
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.where(np.diag(R) >= 0, 1.0, -1.0)
-    if np.linalg.det(Q) < 0:
-        Q[:, 2] *= -1
-    return Q.T
+    return _rotations(rng.normal(size=(1, 3, 3)))[0]
+
+
+def _parallel_rig(K, R, theta, t):
+    """(n, 2, 2, 4) stack of euclidean parallel cameras from (n, 2, 2, 2)
+    intrinsics, (n, 3, 3) rotations, n angles and (n, 4) translations,
+    laid out as in parallel_camera_pair."""
+    r1, ry, r3 = R[:, 0], R[:, 1], R[:, 2]
+    r2 = np.cos(theta)[:, None] * r1 + np.sin(theta)[:, None] * ry
+    rows = np.stack([np.stack([r1, r3], 1), np.stack([r2, r3], 1)], 1)
+    return K @ np.concatenate([rows, t[:, [[0, 2], [1, 3]], None]], axis=3)
 
 
 def parallel_camera_pair(K1, K2, rotation, theta, translations):
@@ -275,34 +290,52 @@ def parallel_camera_pair(K1, K2, rotation, theta, translations):
     direction r2 sits at angle theta from r1 in the plane orthogonal
     to r3. translations is (t1, t2, t3, t4).
     """
-    r1, ry, r3 = rotation
-    r2 = np.cos(theta) * r1 + np.sin(theta) * ry
-    t1, t2, t3, t4 = translations
-    A1 = np.asarray(K1, float) @ np.vstack([np.append(r1, t1), np.append(r3, t3)])
-    A2 = np.asarray(K2, float) @ np.vstack([np.append(r2, t2), np.append(r3, t4)])
-    return TwoSlitCamera(A1, A2)
+    A = _parallel_rig(np.array([(K1, K2)], float), np.array([rotation], float),
+                      np.array([theta], float), np.array([translations], float))
+    return TwoSlitCamera(*A[0])
+
+
+def _count(n, name):
+    """n as a number of items: an int or numpy integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+    return int(n)
 
 
 def random_calibrated_cameras(n, rng, first=None):
     """Centered parallel cameras with log-uniform magnifications.
 
     Returns (cameras, calibrations); `first` optionally pins the two
-    magnifications of the first camera.
+    magnifications of the first camera. The draws run camera by camera,
+    so a seeded rig stays the same for every n; the rig is then built
+    and checked as one array.
     """
-    low, high = MAGNIFICATION_RANGE
-    cams = []
-    cals = []
+    n = _count(n, "n_cameras")
+    if n < 0:
+        raise ValidationError(f"n_cameras cannot be negative, got {n}")
+    if first is not None:
+        first = _field(first, "first_camera_magnifications")
+        if first.shape != (2,) or not np.all(np.isfinite(first) & (first > 0)):
+            raise ValidationError(
+                "first_camera_magnifications must hold two finite positive magnifications")
+    low, high = np.log(MAGNIFICATION_RANGE)
+    f = np.empty((n, 2))
+    M = np.empty((n, 3, 3))
+    theta = np.empty(n)
+    t = np.empty((n, 4))
+    gap = np.empty((n, 2))  # sign draw, size draw
     for i in range(n):
         if i == 0 and first is not None:
-            f1, f2 = first
+            f[i] = first
         else:
-            f1, f2 = np.exp(rng.uniform(np.log(low), np.log(high), 2))
-        K1 = np.diag([f1, 1.0])
-        K2 = np.diag([f2, 1.0])
-        R = random_rotation(rng)
-        theta = rng.uniform(0.35, np.pi - 0.35)
-        t = rng.uniform(-2.0, 2.0, 4)
-        t[3] = t[2] + np.sign(rng.normal()) * rng.uniform(0.5, 2.0)  # keep slits apart
-        cams.append(parallel_camera_pair(K1, K2, R, theta, t))
-        cals.append((K1, K2))
-    return cams, cals
+            f[i] = np.exp(rng.uniform(low, high, 2))
+        M[i] = rng.normal(size=(3, 3))
+        theta[i] = rng.uniform(0.35, np.pi - 0.35)
+        t[i] = rng.uniform(-2.0, 2.0, 4)
+        gap[i] = rng.normal(), rng.uniform(0.5, 2.0)
+    t[:, 3] = t[:, 2] + np.sign(gap[:, 0]) * gap[:, 1]  # keep slits apart
+    K = np.zeros((n, 2, 2, 2))
+    K[:, :, 0, 0] = f
+    K[:, :, 1, 1] = 1.0
+    cams = _rig(_parallel_rig(K, _rotations(M), theta, t))
+    return cams, [tuple(Ks) for Ks in K]

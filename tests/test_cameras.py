@@ -5,6 +5,7 @@ import pytest
 
 from twoslit.cameras import (
     TwoSlitCamera,
+    _rig,
     apply_space_transform,
     base_line,
     camera_distance,
@@ -22,6 +23,7 @@ from twoslit.congruence import quadratic_project
 from twoslit.epipolar import tensor_from_cameras, tensor_gap
 from twoslit.errors import ValidationError
 from twoslit.projective import (
+    TINY,
     TOL,
     ZERO_TOL,
     join_line_point,
@@ -352,6 +354,82 @@ def test_one_svd_check_matches_three_svd_reference():
         outcomes[expected] = outcomes.get(expected, 0) + 1
     # the sample reaches every verdict, each many times
     assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
+
+
+def scalar_camera_check(A1, A2):
+    """Reference: the camera check as it stood before the rig kernel, one
+    camera and one stacked SVD at a time. Returns the message, or None
+    for a valid camera."""
+    for name, A in (("A1", A1), ("A2", A2)):
+        if not np.all(np.isfinite(A)):
+            return f"{name} has non-finite entries"
+    s = np.linalg.svd(np.vstack([A / max(np.linalg.norm(A), TINY) for A in (A1, A2)]),
+                      compute_uv=False)
+    if s[3] > TOL * s[0]:
+        return None
+    for name, A in (("A1", A1), ("A2", A2)):
+        s = np.linalg.svd(A, compute_uv=False)
+        if s[1] <= TOL * s[0]:
+            return f"{name} is rank deficient; its null space is not a line"
+    return "slits intersect: the stacked 4x4 matrix is singular"
+
+
+def faulty_rig(rng):
+    """A stack of 1-11 random cameras, scaled by 1e-3 to 1e3 per matrix,
+    in which up to three cameras at random positions carry one fault: a
+    rank-deficient A1 or A2, meeting slits, a zero matrix or a
+    non-finite entry."""
+    n = int(rng.integers(1, 12))
+    A = rng.normal(size=(n, 2, 2, 4)) * 10 ** rng.uniform(-3, 3, (n, 2, 1, 1))
+    for i in rng.choice(n, size=min(n, int(rng.integers(4))), replace=False):
+        kind = rng.integers(5)
+        if kind < 2:
+            A[i, kind] = np.outer(rng.normal(size=2), rng.normal(size=4))
+        elif kind == 2:  # A2's second row in the span of the other three
+            A[i, 1, 1] = rng.normal(size=3) @ np.vstack([A[i, 0], A[i, 1, :1]])
+        elif kind == 3:
+            A[i, rng.integers(2)] = 0.0
+        else:
+            A[(i, *rng.integers((2, 2, 4)))] = rng.choice([np.nan, np.inf, -np.inf])
+    return A
+
+
+def test_rig_check_names_the_first_fault_like_each_camera():
+    """_rig raises what the first failing camera raises on its own, both
+    through TwoSlitCamera and through the scalar reference, and builds
+    the cameras of a valid stack from views of it."""
+    rng = np.random.default_rng(20261019)
+    outcomes = {}
+    for _ in range(600):
+        A = faulty_rig(rng)
+        expected = next(filter(None, (scalar_camera_check(A1, A2) for A1, A2 in A)), None)
+        per_camera = None
+        for A1, A2 in A:
+            try:
+                TwoSlitCamera(A1, A2)
+            except ValidationError as exc:
+                per_camera = str(exc)
+                break
+        try:
+            cams = _rig(A)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == per_camera == expected
+        if got is None:
+            assert len(cams) == len(A)
+            for cam, (A1, A2) in zip(cams, A):
+                assert isinstance(cam, TwoSlitCamera)
+                assert np.array_equal(cam.A1, A1) and np.array_equal(cam.A2, A2)
+        outcomes[expected] = outcomes.get(expected, 0) + 1
+    # valid rigs and all five messages, each many times
+    assert len(outcomes) == 6 and min(outcomes.values()) > 30, outcomes
+
+
+def test_rig_check_takes_stacks_only():
+    assert _rig(np.zeros((0, 2, 2, 4))) == []
+    with pytest.raises(ValidationError, match=r"\(n, 2, 2, 4\)"):
+        _rig(np.zeros((3, 2, 4)))
 
 
 @pytest.mark.filterwarnings("error")

@@ -227,8 +227,52 @@ def test_bad_arguments_end_in_validation_errors(call, message):
     ("q_matrix", [[1, 2], [3]]),
     ("q_matrix", "abc"),
     ("first_camera_magnifications", (1,)),
-], ids=["ragged-q-matrix", "text-q-matrix", "one-magnification"])
+    ("n_cameras", 2.5),
+    ("n_cameras", "7"),
+    ("n_cameras", True),
+    ("n_cameras", None),
+    ("first_camera_magnifications", (-1.0, 2.0)),
+    ("first_camera_magnifications", (0.0, 1.0)),
+    ("first_camera_magnifications", (np.nan, 1.0)),
+    ("first_camera_magnifications", (np.inf, 1.0)),
+], ids=["ragged-q-matrix", "text-q-matrix", "one-magnification", "fractional-cameras",
+        "text-cameras", "bool-cameras", "no-cameras", "negative-magnification",
+        "zero-magnification", "nan-magnification", "inf-magnification"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_selfcal_config_names_its_field(field, value):
     with pytest.raises(ValidationError, match=field):
-        reported(run_selfcal_experiment(SelfcalConfig(n_cameras=6, **{field: value})))
+        reported(run_selfcal_experiment(SelfcalConfig(**{"n_cameras": 6, field: value})))
+
+
+@pytest.mark.parametrize("n_cameras", [2.5, "7", True])
+def test_non_integer_camera_count_is_invalid_before_sampling(n_cameras, monkeypatch):
+    def no_sampling(seed):
+        raise AssertionError("run_selfcal_experiment sampled before validating n_cameras")
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(ValidationError, match="n_cameras"):
+        run_selfcal_experiment(SelfcalConfig(n_cameras=n_cameras))
+
+
+def test_numpy_integer_camera_count_gives_the_int_report():
+    report = run_selfcal_experiment(SelfcalConfig(n_cameras=np.int64(7), seed=3))
+    assert report.ok and type(report.n_cameras) is int
+    assert json.dumps(report.to_dict()) == json.dumps(
+        run_selfcal_experiment(SelfcalConfig(n_cameras=7, seed=3)).to_dict())
+
+
+def test_selfcal_factorizations_do_not_grow_with_the_rig(monkeypatch):
+    """A rig is built and checked as one array: run_selfcal_experiment makes
+    as many SVDs for 200 cameras as for 10."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = {}
+    for n in (10, 200):
+        calls.clear()
+        assert run_selfcal_experiment(SelfcalConfig(n_cameras=n, seed=1)).ok
+        counts[n] = len(calls)
+    assert counts[10] == counts[200], counts

@@ -18,6 +18,7 @@ from twoslit.errors import DegeneracyError, ValidationError
 from twoslit.experiments import run_sfm_experiment
 from twoslit.projective import proj_equal
 from twoslit.synthetic import (
+    MAGNIFICATION_RANGE,
     RNG_ALGORITHM,
     SceneConfig,
     _rescale_to_image,
@@ -192,6 +193,99 @@ class TestEuclideanBuilders:
             f2 = np.linalg.norm(cam.A2[0, :3]) / np.linalg.norm(cam.A2[1, :3])
             assert np.isclose(f1, K1[0, 0])
             assert np.isclose(f2, K2[0, 0])
+
+
+def per_camera_rotation(rng):
+    """random_rotation as it was written before the rig was built as one
+    array: one QR and one determinant per rotation."""
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.where(np.diag(R) >= 0, 1.0, -1.0)
+    if np.linalg.det(Q) < 0:
+        Q[:, 2] *= -1
+    return Q.T
+
+
+def per_camera_pair(K1, K2, rotation, theta, t):
+    """parallel_camera_pair as it was written before, as a matrix pair."""
+    r1, ry, r3 = rotation
+    r2 = np.cos(theta) * r1 + np.sin(theta) * ry
+    A1 = np.asarray(K1, float) @ np.vstack([np.append(r1, t[0]), np.append(r3, t[2])])
+    A2 = np.asarray(K2, float) @ np.vstack([np.append(r2, t[1]), np.append(r3, t[3])])
+    return A1, A2
+
+
+def per_camera_rig(n, rng, first=None):
+    """random_calibrated_cameras as it was written before: draws, rotation
+    and camera one camera at a time. Returns matrix pairs and calibrations."""
+    low, high = MAGNIFICATION_RANGE
+    pairs, cals = [], []
+    for i in range(n):
+        if i == 0 and first is not None:
+            f1, f2 = first
+        else:
+            f1, f2 = np.exp(rng.uniform(np.log(low), np.log(high), 2))
+        K1 = np.diag([f1, 1.0])
+        K2 = np.diag([f2, 1.0])
+        R = per_camera_rotation(rng)
+        theta = rng.uniform(0.35, np.pi - 0.35)
+        t = rng.uniform(-2.0, 2.0, 4)
+        t[3] = t[2] + np.sign(rng.normal()) * rng.uniform(0.5, 2.0)
+        pairs.append(per_camera_pair(K1, K2, R, theta, t))
+        cals.append((K1, K2))
+    return pairs, cals
+
+
+@pytest.mark.parametrize("first", [None, (4.04, 1.37)], ids=["drawn", "pinned"])
+def test_random_rig_matches_per_camera_loop(first):
+    """The rig built as one array is bit for bit the one built camera by
+    camera, and leaves the generator in the same state."""
+    for seed in range(50):
+        n = (1, 2, 9, 40, 200)[seed % 5]
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        cams, cals = random_calibrated_cameras(n, rng, first=first)
+        pairs, reference_cals = per_camera_rig(n, reference_rng, first=first)
+        assert len(cams) == len(cals) == n
+        for cam, (A1, A2), cal, reference_cal in zip(cams, pairs, cals, reference_cals):
+            assert np.array_equal(cam.A1, A1) and np.array_equal(cam.A2, A2)
+            assert all(np.array_equal(K, R) for K, R in zip(cal, reference_cal))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_scalar_builders_match_per_camera_code():
+    rng = np.random.default_rng(31)
+    for seed in range(20):
+        R = random_rotation(np.random.default_rng(seed))
+        assert np.array_equal(R, per_camera_rotation(np.random.default_rng(seed)))
+        K1, K2 = np.diag(rng.uniform(0.5, 4, 2)), np.diag(rng.uniform(0.5, 4, 2))
+        theta, t = rng.uniform(0.3, 3), rng.uniform(-2, 2, 4)
+        cam = parallel_camera_pair(K1, K2, R, theta, t)
+        A1, A2 = per_camera_pair(K1, K2, R, theta, t)
+        assert np.array_equal(cam.A1, A1) and np.array_equal(cam.A2, A2)
+        K1[0, 1], K2[0, 1] = rng.normal(size=2)  # with offsets: equal up to rounding
+        cam = parallel_camera_pair(K1, K2, R, theta, t)
+        A1, A2 = per_camera_pair(K1, K2, R, theta, t)
+        assert np.allclose(cam.A1, A1, rtol=1e-15, atol=1e-15)
+        assert np.allclose(cam.A2, A2, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "7", None, -1])
+def test_rig_size_must_be_a_count(n):
+    with pytest.raises(ValidationError, match="n_cameras"):
+        random_calibrated_cameras(n, np.random.default_rng(0))
+
+
+def test_rig_size_may_be_zero_or_a_numpy_integer():
+    assert random_calibrated_cameras(0, np.random.default_rng(0)) == ([], [])
+    cams, cals = random_calibrated_cameras(np.int64(3), np.random.default_rng(0))
+    assert len(cams) == len(cals) == 3
+
+
+@pytest.mark.parametrize("first", [(2.0,), (-1.0, 2.0), (0.0, 1.0), (np.inf, 1.0),
+                                   (np.nan, 1.0), (1.0, 2.0, 3.0), "ab"])
+@pytest.mark.filterwarnings("error")
+def test_first_magnifications_must_be_two_positive_numbers(first):
+    with pytest.raises(ValidationError, match="first_camera_magnifications"):
+        random_calibrated_cameras(3, np.random.default_rng(0), first=first)
 
 
 def measured_and_reprojected(camA, camB, x, row):
