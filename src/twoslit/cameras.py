@@ -27,6 +27,7 @@ from .projective import (
     negligible,
     plane_meet_plane,
     point_on_line,
+    pow2_scaled,
     scale_free_gap,
 )
 
@@ -53,6 +54,7 @@ def _check_rig(A):
     B = A
     if not np.isfinite(A).all():
         B = np.where(np.isfinite(A).all(axis=(1, 2, 3))[:, None, None, None], A, 0.0)
+    B = pow2_scaled(B, axis=(2, 3))  # so that no squared norm overflows or underflows
     norms = np.sqrt((B * B).sum(axis=(2, 3), keepdims=True))
     s = np.linalg.svd((B / np.maximum(norms, TINY)).reshape(-1, 4, 4), compute_uv=False)
     bad = s[:, 3] <= TOL * s[:, 0]

@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera
+from .cameras import _rig
 from .projective import COARSE_TOL, FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
-from .projective import negligible, scale_free_gap
+from .projective import negligible, pow2_scaled, scale_free_gap
 
 MIN_CORRESPONDENCES = 15
+# the binary exponent the estimator gives a zero: nonzero floats have
+# -1073..1024, so a zero's stays below every other's after subtracting one
+ZERO_EXPONENT = -4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +45,7 @@ class EpipolarTensor:
             raise ValidationError(f"tensor must have shape (2,2,2,2), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("tensor has non-finite entries")
-        if np.linalg.norm(v) == 0.0:
+        if not v.any():
             raise ValidationError("tensor is identically zero")
         object.__setattr__(self, "values", v)
 
@@ -62,7 +65,8 @@ class EpipolarTensor:
 
     def normalized(self):
         """Unit Frobenius norm, largest-magnitude entry positive."""
-        v = self.values / np.linalg.norm(self.values)
+        v = pow2_scaled(self.values)  # so that the norm neither overflows nor underflows
+        v = v / np.linalg.norm(v)
         lead = v.reshape(-1)[np.argmax(np.abs(v))]
         return EpipolarTensor(v if lead > 0 else -v)
 
@@ -133,10 +137,17 @@ def epipolar_residuals(tensor, correspondences, normalized=True):
     2-vector factors and of the tensor, making it scale invariant.
     """
     factors = _factors(_as_correspondences(correspondences))
-    val = np.einsum("ijkl,ni,nj,nk,nl->n", tensor.values, *factors)
+    F = tensor.values
+    if normalized:
+        # each factor of each row, and the tensor, to a largest entry in
+        # [0.5, 1) by an exact power of two, which the normalized value
+        # does not see: no product or norm overflows or underflows
+        factors = pow2_scaled(factors, axis=2)
+        F = pow2_scaled(F)
+    val = np.einsum("ijkl,ni,nj,nk,nl->n", F, *factors)
     if not normalized:
         return val
-    denom = np.prod(np.linalg.norm(factors, axis=2), axis=0) * np.linalg.norm(tensor.values)
+    denom = np.prod(np.linalg.norm(factors, axis=2), axis=0) * np.linalg.norm(F)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom == 0.0, np.inf, val / denom)
 
@@ -157,6 +168,37 @@ def multilinear_transform(tensor_values, matrices):
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", np.asarray(tensor_values, float), M1, M2, M3, M4)
 
 
+def _conditioned_factors(corr):
+    """The factors of (n, 6) correspondence rows conditioned for the
+    design, as a (4, n, 2) array, and the (4, 2, 2) maps that take the
+    estimate back to the input's coordinates.
+
+    Each column of each mode is divided by 2^e, which brings its largest
+    entry into [0.5, 1): exact, and the conditioning commutes with it.
+    Per mode, (x, w) -> (x - m w, w) with m the least-squares fit of x by
+    m w, which centres x, then both columns to unit RMS. A design row is
+    normalized, so each factor of each row then takes its own power of
+    two on top, chosen on the exponents: a row far smaller or larger
+    than the rest neither underflows nor overflows.
+    """
+    mant, p = np.frexp(_factors(corr))
+    p[mant == 0] = ZERO_EXPONENT
+    e = p.max(axis=1, keepdims=True)
+    q = p - e
+    f = np.ldexp(mant, q)
+    x, w = f[..., 0], f[..., 1]
+    maps = np.zeros((4, 2, 2))
+    maps[:, 0, 0] = maps[:, 1, 1] = 1.0
+    maps[:, 0, 1] = -np.sum(x * w, axis=1) / np.maximum(np.sum(w * w, axis=1), TINY)
+    rms = np.sqrt(np.mean((f @ maps.transpose(0, 2, 1)) ** 2, axis=1))
+    rms[rms < ROUNDOFF * np.maximum(rms.max(axis=1, keepdims=True), 1.0)] = 1.0
+    maps /= rms[:, :, None]
+    factors = np.ldexp(mant, q - np.maximum(q[..., :1], q[..., 1:])) @ maps.transpose(0, 2, 1)
+    # back in the input's coordinates column c of a map is divided by
+    # 2^e[c]; the tensor's scale drops out, so only e[c] - min(e) counts
+    return factors, np.ldexp(maps, e.min(axis=2, keepdims=True) - e)
+
+
 def estimate_tensor_linear(correspondences):
     """Least-squares tensor from image correspondences.
 
@@ -165,25 +207,20 @@ def estimate_tensor_linear(correspondences):
     before building the design matrix, and the estimate is mapped back
     afterwards; this is plain conditioning that makes the estimate
     commute with translations and scalings of each image coordinate.
+    Exact powers of two keep every magnitude a float holds in range, and
+    change no bit of the estimate where nothing overflowed.
     """
     corr = _as_correspondences(correspondences)
     n = corr.shape[0]
     if n < MIN_CORRESPONDENCES:
         raise ValidationError(
             f"need at least {MIN_CORRESPONDENCES} correspondences, got {n}")
-
-    # per mode, (x, w) -> (x - m w, w) with m the least-squares fit of x
-    # by m w, which centres x, then both columns to unit RMS
-    f = _factors(corr)
-    x, w = f[..., 0], f[..., 1]
-    maps = np.zeros((4, 2, 2))
-    maps[:, 0, 0] = maps[:, 1, 1] = 1.0
-    maps[:, 0, 1] = -np.sum(x * w, axis=1) / np.maximum(np.sum(w * w, axis=1), TINY)
-    rms = np.sqrt(np.mean((f @ maps.transpose(0, 2, 1)) ** 2, axis=1))
-    rms[rms < ROUNDOFF * np.maximum(rms.max(axis=1, keepdims=True), 1.0)] = 1.0
-    maps /= rms[:, :, None]
-    factors = f @ maps.transpose(0, 2, 1)
-    design = np.einsum("ni,nj,nk,nl->nijkl", *factors).reshape(n, 16)
+    factors, maps = _conditioned_factors(corr)
+    # outer products folded left, ((a b) c) d: np.einsum's roundings in
+    # less time
+    a, b, c, d = factors
+    design = (((a[:, :, None] * b[:, None, :])[..., None] * c[:, None, None, :])[..., None]
+              * d[:, None, None, None, :]).reshape(n, 16)
     norms = np.linalg.norm(design, axis=1, keepdims=True)
     if np.any(norms < TINY):
         raise ValidationError("a correspondence has an identically zero factor")
@@ -342,10 +379,9 @@ def recover_minor_matrices(tensor):
 
 def cameras_from_minor_matrix(minor):
     """Normal-form camera pair whose tensor has these principal minors."""
-    C = minor.matrix
-    e = np.eye(4)
-    camA = TwoSlitCamera(np.stack([e[0], C[0]]), np.stack([e[1], C[1]]))
-    camB = TwoSlitCamera(np.stack([e[2], C[2]]), np.stack([e[3], C[3]]))
+    # camera A is (e1, row 1 of C), (e2, row 2), camera B the same with
+    # rows 3 and 4; checked as one rig
+    camA, camB = _rig(np.stack([np.eye(4), minor.matrix], axis=1).reshape(2, 2, 2, 4))
     return camA, camB
 
 

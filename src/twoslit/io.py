@@ -1,8 +1,10 @@
 """Serialization for cameras, tensors, correspondences, and reports.
 
 JSON is the primary format. Correspondence tables can also travel as
-CSV with columns u1,u2,u3,v1,v2,v3. Floats are written with 17
-significant digits so values round-trip exactly. All output goes
+CSV with columns u1,u2,u3,v1,v2,v3. CSV writes floats with 17
+significant digits (%.17g), JSON with Python's shortest round-trip
+repr; both read back to the same bits. The bytes of write_json are
+those of json.dumps(data, indent=2, allow_nan=False). All output goes
 through write_text, so a file and standard output get the same bytes.
 """
 
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
+from array import array
 
 import numpy as np
 
@@ -82,19 +86,22 @@ def correspondences_from_csv(stream):
     if header != list(CSV_COLUMNS):
         raise ValidationError(
             "correspondence CSV must start with header " + ",".join(CSV_COLUMNS))
-    rows = []
+    values = array("d")
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 6:
-            raise ValidationError(f"line {lineno}: expected 6 columns, got {len(row)}")
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-    if not rows:
+        if len(row) == 6:
+            try:
+                # a failing row appends nothing unless it is not blank
+                values.extend(map(float, row))
+                continue
+            except ValueError as exc:
+                error = f"line {lineno}: {exc}"
+        else:
+            error = f"line {lineno}: expected 6 columns, got {len(row)}"
+        if "".join(row).strip():
+            raise ValidationError(error)
+    if not values:
         raise ValidationError("correspondence file holds no data rows")
-    return np.asarray(rows, float)
+    return np.array(values).reshape(-1, 6)
 
 
 def correspondences_to_dict(correspondences):
@@ -119,8 +126,55 @@ def write_text(text, path):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _float_cells(value):
+    """(cells, width) for a list of floats (width 0) or a list of
+    equal-length lists of floats (width their length): the entries as
+    the C encoder writes them, row after row. None for any other list,
+    and for NaN or inf, which the element-wise path then reports."""
+    width = 0
+    if {*map(type, value)} <= {list, tuple}:
+        widths = {*map(len, value)}
+        if len(widths) != 1 or 0 in widths:
+            return None
+        (width,) = widths
+        value = list(itertools.chain.from_iterable(value))
+    if {*map(type, value)} != {float}:
+        return None
+    try:
+        return json.dumps(value, allow_nan=False)[1:-1].split(", "), width
+    except ValueError:
+        return None
+
+
+def _block(items, pad, brackets="[]"):
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _dumps(value, pad=""):
+    """json.dumps(value, indent=2, allow_nan=False) for a value nested
+    at indentation pad. A float vector or matrix takes one call of the
+    C encoder; json.dumps with an indent runs the pure-Python encoder
+    over every float."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        return _block((json.dumps(k) + ": " + _dumps(v, inner) for k, v in value.items()),
+                      pad, "{}")
+    if isinstance(value, (list, tuple)) and value:
+        found = _float_cells(value)
+        if found is None:
+            return _block((_dumps(v, inner) for v in value), pad)
+        cells, width = found
+        if not width:
+            return _block(cells, pad)
+        row = _block(["%s"] * width, inner)
+        return _block((row % tuple(cells[i:i + width]) for i in range(0, len(cells), width)), pad)
+    # encoded strings hold no raw newline, so every newline is indentation
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+
+
 def write_json(data, path):
-    write_text(json.dumps(data, indent=2, allow_nan=False), path)
+    write_text(_dumps(data), path)
 
 
 def read_json(path):

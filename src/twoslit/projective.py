@@ -61,9 +61,18 @@ def proj_equal(a, b, tol=TOL):
     return cosine_distance(a, b) < tol
 
 
+def pow2_scaled(a, axis=None):
+    """a divided by the power of two that brings its largest absolute
+    entry, over the given axes or all of a, into [0.5, 1). The division
+    is exact for every entry that stays a normal float, so anything
+    homogeneous in a keeps its bits."""
+    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1])
+
+
 def scale_free_gap(a, b):
     """Largest entry difference of two nonzero arrays at unit Frobenius
     norm, minimized over both signs; 0 when they agree up to scale."""
+    a, b = pow2_scaled(a), pow2_scaled(b)  # so that no norm overflows or underflows
     a = a / np.linalg.norm(a)
     b = b / np.linalg.norm(b)
     return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))

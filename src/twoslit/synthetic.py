@@ -16,7 +16,7 @@ from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _images, _rig, apply_space_transform, project_points
 from .epipolar import _as_correspondences, _factors
 from .io import _field
-from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector
+from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector, pow2_scaled
 
 RNG_ALGORITHM = "numpy-PCG64"
 STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
@@ -199,7 +199,10 @@ def triangulate_points(camA, camB, correspondences):
     batched 4x4 solve per pass, halving a point's step until it lowers
     the residual. A point stops after trying a step shorter than STEP_TOL.
     """
-    z, w = _factors(_as_correspondences(correspondences)).transpose(2, 1, 0)
+    # each (z, w) pair to a largest entry in [0.5, 1) by an exact power
+    # of two, which neither its unit plane nor t = z / w sees
+    zw = pow2_scaled(_factors(_as_correspondences(correspondences)), axis=2)
+    z, w = zw.transpose(2, 1, 0)
     if np.any(np.abs(w) <= ROUNDOFF * np.abs(z)):
         raise DegeneracyError("a measured image point lies at infinity")
     N = np.stack([camA.A1[0], camA.A2[0], camB.A1[0], camB.A2[0]])

@@ -489,3 +489,21 @@ def test_scale_free_gap_matches_canonical_forms():
             assert camera_distance(cam1, cam2) == canonical_camera_distance(cam1, cam2)
         t1, t2 = tensor_from_cameras(camA, camB), tensor_from_cameras(copyA, copyB)
         assert tensor_gap(t1, t2) == unit_norm_tensor_gap(t1, t2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-300])
+def test_large_and_small_entries_keep_the_camera_valid(scale):
+    """Each matrix counts only up to scale: entries near the ends of the
+    float range neither overflow the validity check and the camera
+    distance nor change them."""
+    A1, A2 = [[1.0, 0, 0, 0], [0, 0, 1, 0]], [[0.0, 1, 0, 0], [0, 0, 0, 1]]
+    cam = TwoSlitCamera(scale * np.array(A1), A2)
+    assert np.array_equal(cam.A1, scale * np.array(A1))
+    B1 = [[1.0, 0, 0, 0], [0, 1, 1, 0]]
+    want = camera_distance(TwoSlitCamera(B1, A2), TwoSlitCamera(A1, A2))
+    assert camera_distance(TwoSlitCamera(scale * np.array(B1), A2), cam) == pytest.approx(want)
+    with pytest.raises(ValidationError, match="slits intersect"):
+        TwoSlitCamera(scale * np.array(A1), [[0.0, 1, 0, 0], [1, 0, 0, 0]])
+    with pytest.raises(ValidationError, match="A1 is rank deficient"):
+        TwoSlitCamera(scale * np.array([[1.0, 0, 0, 0], [2, 0, 0, 0]]), A2)

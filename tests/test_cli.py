@@ -21,7 +21,7 @@ from twoslit import io as tsio
 from twoslit.cameras import project
 from twoslit.cli import main
 from twoslit.epipolar import tensor_from_cameras
-from twoslit.synthetic import reference_camera_pair
+from twoslit.synthetic import SceneConfig, generate_scene, reference_camera_pair
 
 
 def run(capsys, *argv):
@@ -431,3 +431,55 @@ def test_failed_report_is_strict_json(capsys, argv, blank):
     report = json.loads(out, parse_constant=_reject_constant)
     assert not report["ok"]
     assert all(report[key] is None for key in blank)
+
+
+def _times_rows(c, scales):
+    return c * np.broadcast_to(scales, len(c))[:, None]
+
+
+def _with(c, index, value):
+    c = c.copy()
+    c[index] = value
+    return c
+
+
+# Rows, or some of their cells, scaled to the edges of the float range.
+# A row times any nonzero number is the same correspondence; the cases
+# named "rows" or "last row" change nothing else.
+EXTREME_CASES = {
+    "last row x1e150": lambda c: _times_rows(c, np.r_[np.ones(len(c) - 1), 1e150]),
+    "last row x1e-150": lambda c: _times_rows(c, np.r_[np.ones(len(c) - 1), 1e-150]),
+    "last row x1e300": lambda c: _times_rows(c, np.r_[np.ones(len(c) - 1), 1e300]),
+    "rows x1e150": lambda c: c * 1e150,
+    "rows x1e-150": lambda c: c * 1e-150,
+    "rows x1e300": lambda c: c * 1e300,
+    "rows x1e-300": lambda c: c * 1e-300,
+    "rows x2^1000": lambda c: c * 2.0 ** 1000,
+    "rows x1e-300 to x1e300": lambda c: _times_rows(c, np.logspace(-300, 300, len(c))),
+    "rows x1e200, x1e-200 in turn": lambda c: _times_rows(c, np.resize([1e200, 1e-200], len(c))),
+    "one u1, u3 pair x1e300": lambda c: _with(c, (0, [0, 2]), c[0, [0, 2]] * 1e300),
+    "column u3 x1e-300": lambda c: _with(c, (slice(None), 2), c[:, 2] * 1e-300),
+    "column v3 x1e300": lambda c: _with(c, (slice(None), 5), c[:, 5] * 1e300),
+    "one cell near the largest float": lambda c: _with(c, (3, 1), 1.7e308),
+    "one subnormal cell": lambda c: _with(c, (3, 1), 5e-324),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", EXTREME_CASES)
+def test_extreme_magnitudes_end_in_an_exit_code(capsys, tmp_path, case):
+    """Rows or cells scaled to the edges of the float range end in exit
+    0, 2 or 3, not in a traceback; a row rescaled as a whole is the same
+    correspondence and gives the tensor of the unscaled file."""
+    corr = generate_scene(SceneConfig(n_points=40, noise_sigma=1e-5, seed=1)).correspondences
+    plain, path = tmp_path / "plain.csv", tmp_path / "scaled.csv"
+    tsio.write_correspondences(corr, plain, fmt="csv")
+    tsio.write_correspondences(EXTREME_CASES[case](corr), path, fmt="csv")
+    for command in ("tensor", "sfm"):
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert code in (0, 2, 3), err
+        assert (err == "") if code == 0 else err.startswith("error:")
+        if command == "tensor" and case.startswith(("rows", "last row")):
+            assert code == 0, err
+            want = json.loads(run(capsys, "tensor", "--in", str(plain))[1])["values"]
+            assert np.max(np.abs(np.subtract(json.loads(out)["values"], want))) < 1e-6

@@ -500,3 +500,33 @@ def test_tensor_is_exact_on_integer_cameras():
         F = tensor_from_cameras(camA, camB).values
         for idx in itertools.product(range(2), repeat=4):
             assert F[idx] == (-1) ** sum(idx) * _integer_det(_stacked_rows(camA, camB, *idx))
+
+
+@given(seed=st.integers(0, 30), power=st.sampled_from([-480, 480]))
+@settings(max_examples=20, deadline=None)
+def test_rows_times_a_power_of_two_give_the_same_bits(seed, power):
+    """All rows times 2^480 or 2^-480 give bit for bit the tensor of
+    the unscaled rows, where the design's products of four factors
+    would overflow or underflow."""
+    corr = generate_scene(SceneConfig(n_points=30, noise_sigma=1e-4, seed=seed)).correspondences
+    want = estimate_tensor_linear(corr).values
+    assert np.array_equal(estimate_tensor_linear(np.ldexp(corr, power)).values, want)
+
+
+@given(seed=st.integers(0, 30), powers=st.lists(st.integers(-1000, 1000), min_size=20,
+                                                 max_size=20))
+@settings(max_examples=20, deadline=None)
+def test_residuals_ignore_each_rows_power_of_two(seed, powers):
+    """A normalized residual is the same bits for a row times any power
+    of two, and for the tensor times one, however large or small; image
+    coordinates that are exactly zero included."""
+    corr = generate_scene(SceneConfig(n_points=20, noise_sigma=1e-4, seed=seed)).correspondences
+    corr[0, 0] = corr[1, 4] = 0.0
+    t = estimate_tensor_linear(corr)
+    scaled = np.ldexp(corr, np.array(powers)[:, None])
+    want = epipolar_residuals(t, corr)
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.array_equal(epipolar_residuals(t, scaled), want)
+        big = EpipolarTensor(np.ldexp(t.values, 1000))
+        assert np.array_equal(epipolar_residuals(big, scaled), want)
+        assert np.array_equal(big.normalized().values, t.normalized().values)

@@ -1,6 +1,8 @@
 """Round-trip serialization for cameras, tensors, and correspondences."""
 
 import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from twoslit.epipolar import EpipolarTensor
 from twoslit.errors import ValidationError
 from twoslit.io import (
     CSV_COLUMNS,
+    _dumps,
     camera_from_dict,
     camera_to_dict,
     correspondences_from_csv,
@@ -107,6 +110,25 @@ class TestCsv:
         with pytest.raises(ValidationError, match="line 2"):
             correspondences_from_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("body, expected", [
+        ('\n"1.5",2,3,4,5,6\n', [[1.5, 2, 3, 4, 5, 6]]),
+        ("\r\n1,2,3,4,5,6\r\n7,8,9,10,11,12\r\n", [[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]]),
+        ("\n 1.5 , 2,3,4,5,\t6 \n", [[1.5, 2, 3, 4, 5, 6]]),
+        ("\n,,,,,\n1,2,3,4,5,6\n", [[1, 2, 3, 4, 5, 6]]),
+        ("\n1,2,3,4,5,6,7\n", "line 2: expected 6 columns, got 7"),
+        ("\n1,2,3,4,5,6\n\n1,2,x,4,5,6\n", "line 4: could not convert string to float: 'x'"),
+    ], ids=["quoted", "crlf", "padded", "empty-cells", "seven-cells", "bad-after-blank"])
+    def test_reader_cases(self, body, expected):
+        """Rows as csv reads them after the header; the line a message
+        names counts every row, blank ones too."""
+        stream = io.StringIO(",".join(CSV_COLUMNS) + body)
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as info:
+                correspondences_from_csv(stream)
+            assert str(info.value) == expected
+        else:
+            assert np.array_equal(correspondences_from_csv(stream), expected)
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValidationError, match=r"\(n, 6\)"):
             correspondences_to_csv(np.ones((3, 5)), io.StringIO())
@@ -164,3 +186,37 @@ def test_csv_bits_survive_any_finite_values(rows):
     corr = np.asarray(rows, float)
     back = correspondences_from_csv(io.StringIO(csv_text(corr)))
     assert np.array_equal(back, corr)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.none() | st.booleans() | st.integers() | _finite | st.text(max_size=4)
+_float_rows = st.lists(st.lists(_finite, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4) | st.tuples(children, children)
+            | st.dictionaries(st.text(max_size=3), children, max_size=3)
+            | st.dictionaries(st.integers() | st.booleans() | st.none() | _finite, children,
+                              max_size=2)
+            | st.lists(_finite, min_size=1, max_size=4) | _float_rows)
+
+
+@given(st.recursive(_scalars, _containers, max_leaves=20))
+@settings(max_examples=500, deadline=None)
+def test_json_bytes_are_those_of_the_indented_encoder(value):
+    """write_json's encoder gives the bytes of json.dumps with indent=2,
+    float vectors and ragged or equal-length float rows included."""
+    assert _dumps(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [lambda x: x, lambda x: [1.0, x], lambda x: {"m": [[1.0], [x]]},
+                                   lambda x: [[1.0, 2.0], [x, 3.0]]],
+                         ids=["scalar", "vector", "ragged", "matrix"])
+def test_json_rejects_what_is_not_a_number(bad, where):
+    value = where(bad)
+    with pytest.raises(ValueError) as want:
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        _dumps(value)
+    assert str(got.value) == str(want.value)

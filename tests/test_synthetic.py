@@ -575,3 +575,18 @@ class TestBatchedSampler:
             best = min(best, time.perf_counter() - t0)
         assert best < 0.25
 
+
+
+@pytest.mark.filterwarnings("error")
+def test_triangulation_ignores_each_image_points_power_of_two():
+    """Each image coordinate pair (z, w) counts only up to scale: rows
+    times powers of two up to 2^+-1000 give the same points and residuals
+    bit for bit, image coordinates that are exactly zero included."""
+    scene = generate_scene(SceneConfig(n_points=30, noise_sigma=1e-4, seed=5))
+    corr = scene.correspondences
+    corr[0, 0] = corr[1, 4] = 0.0
+    powers = np.random.default_rng(0).integers(-1000, 1001, (30, 2))
+    scaled = np.ldexp(corr, np.repeat(powers, 3, axis=1))
+    X, r = triangulate_points(*scene.cameras, corr)
+    Xs, rs = triangulate_points(*scene.cameras, scaled)
+    assert np.array_equal(Xs, X) and np.array_equal(rs, r)
