@@ -154,6 +154,10 @@ def epipolar_residuals(tensor, correspondences, normalized=True):
 
 def epipolar_residual(tensor, u, v, normalized=True):
     """Multilinear form evaluated on a correspondence; ~0 when consistent."""
+    for name, point in (("u", u), ("v", v)):
+        if np.size(point) != 3:
+            raise ValidationError(
+                f"image point {name} must have 3 coordinates, got {np.size(point)}")
     row = np.append(np.reshape(u, 3), np.reshape(v, 3))
     return float(epipolar_residuals(tensor, row[None], normalized)[0])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DegeneracyError, TwoSlitError, ValidationError
-from .cameras import _rig, apply_space_transform, camera_distance
+from .cameras import _rig, camera_distance
 from .epipolar import (
     _as_correspondences,
     cameras_from_minor_matrix,
@@ -31,6 +31,7 @@ from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
     _count,
+    _seed,
     generate_scene,
     random_calibrated_cameras,
     reprojection_rms,
@@ -80,7 +81,7 @@ class SfmReport(_Report):
     error_kind: str = ""
 
 
-def _configuration_entry(minor, residual, tensor, correspondences, truth, W):
+def _configuration_entry(minor, residual, tensor, correspondences, truth, W_inv):
     camA, camB = cameras_from_minor_matrix(minor)
     entry = {
         "minor_matrix": minor.matrix.tolist(),
@@ -93,17 +94,15 @@ def _configuration_entry(minor, residual, tensor, correspondences, truth, W):
         "camera_gap": None,
     }
     if truth is not None:
-        # judge the configuration in the ground-truth frame
-        camA = apply_space_transform(camA, W)
-        camB = apply_space_transform(camB, W)
+        # judge the configuration in the ground-truth frame, as one rig
+        camA, camB = _rig(np.array([(camA.A1, camA.A2), (camB.A1, camB.A2)]) @ W_inv)
         entry["camera_gap"] = max(camera_distance(camA, truth[0]),
                                   camera_distance(camB, truth[1]))
     entry["reprojection_rms"] = reprojection_rms(camA, camB, correspondences)
     return entry
 
 
-def run_sfm_pipeline(correspondences, report, truth=None):
-    corr = np.asarray(correspondences, float)
+def run_sfm_pipeline(corr, report, truth=None):
     tensor = estimate_tensor_linear(corr)
     report.estimated_tensor = tensor.flat().tolist()
     residuals = np.abs(epipolar_residuals(tensor, corr))
@@ -112,10 +111,11 @@ def run_sfm_pipeline(correspondences, report, truth=None):
     candidates = recover_minor_matrices(tensor)
     report.candidates = [
         {"matrix": m.matrix.tolist(), "residual": float(r)} for m, r in candidates]
-    W = normal_form_transform(*truth) if truth is not None else None
+    # W is invertible: normal_form_transform rejects dependent first rows
+    W_inv = np.linalg.inv(normal_form_transform(*truth)) if truth is not None else None
     for minor, residual in candidates[:2]:
         report.configurations.append(
-            _configuration_entry(minor, residual, tensor, corr, truth, W))
+            _configuration_entry(minor, residual, tensor, corr, truth, W_inv))
     if truth is not None and report.configurations:
         report.equivalent_configuration = int(np.argmin(
             [c["camera_gap"] for c in report.configurations]))
@@ -133,7 +133,7 @@ def run_sfm_experiment(config=SceneConfig(), correspondences=None):
     Invalid correspondences and numerical failures during estimation
     are reported, not raised.
     """
-    report = SfmReport(seed=config.seed, noise_sigma=config.noise_sigma)
+    report = SfmReport(seed=_seed(config.seed), noise_sigma=config.noise_sigma)
     truth = None
     if correspondences is None:
         scene = generate_scene(config)
@@ -186,8 +186,9 @@ def run_selfcal_experiment(config=SelfcalConfig()):
     if not 0 <= config.noise_sigma < np.inf:
         raise ValidationError("noise sigma must be finite and cannot be negative")
     n = _count(config.n_cameras, "n_cameras")
-    report = SelfcalReport(seed=config.seed, noise_sigma=config.noise_sigma, n_cameras=n)
-    rng = np.random.default_rng(config.seed)
+    seed = _seed(config.seed)
+    report = SelfcalReport(seed=seed, noise_sigma=config.noise_sigma, n_cameras=n)
+    rng = np.random.default_rng(seed)
     try:
         if n < 1:
             raise ValidationError("need a positive number of cameras")

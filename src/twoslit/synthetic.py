@@ -13,7 +13,7 @@ import numpy as np
 
 from . import golden
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, _images, _rig, apply_space_transform, project_points
+from .cameras import TwoSlitCamera, _images, _rig, project_points
 from .epipolar import _as_correspondences, _factors
 from .io import _field
 from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector, pow2_scaled
@@ -59,12 +59,12 @@ def default_camera_pair():
     is seen under a healthy crossing angle; the second camera is the
     same device rotated and shifted.
     """
-    camA = TwoSlitCamera(np.array([[0.0, 1, 0, 0], [0, 0, 1, -8]]),
-                         np.array([[1.0, 0, 0, 0], [0, 0, 1, 8]]))
+    A = np.array([[[0.0, 1, 0, 0], [0, 0, 1, -8]], [[1.0, 0, 0, 0], [0, 0, 1, 8]]])
     motion = euclidean_transform(
         rotation_about_axis([0, 1, 0], 0.6) @ rotation_about_axis([1, 0, 0], 0.35),
         [1.5, -2.0, 0.8])
-    return camA, apply_space_transform(camA, motion)
+    camA, camB = _rig(np.stack([A, A @ np.linalg.inv(motion)]))
+    return camA, camB
 
 
 @dataclass(frozen=True)
@@ -111,25 +111,30 @@ def generate_scene(config=SceneConfig(), cameras=None):
     zero-mean gaussian noise of the configured sigma is added to the
     inhomogeneous image coordinates.
     """
-    n = config.n_points
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"scene needs at least one point, as an integer; got {n!r}")
+    n = _count(config.n_points, "n_points")
+    if n < 1:
+        raise ValidationError(f"scene needs at least one point, got {n}")
     if not 0 <= config.noise_sigma < np.inf:
         raise ValidationError("noise sigma must be finite and cannot be negative")
-    rng = np.random.default_rng(config.seed)
+    for name in ("box_halfwidth", "image_scale"):
+        value = getattr(config, name)
+        if not 0 < value < np.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+    seed = _seed(config.seed)
+    rng = np.random.default_rng(seed)
     camA, camB = cameras if cameras is not None else default_camera_pair()
 
     # Each batch is at most the number of points still needed, so every
     # draw is one the candidate-at-a-time loop would make too, and the
     # noise below sees the same generator state.
     h = config.box_halfwidth
-    budget = 100 * config.n_points
+    budget = 100 * n
     batches = []
     kept = drawn = 0
-    while kept < config.n_points:
+    while kept < n:
         if drawn == budget:
             raise DegeneracyError("could not sample points projecting through both cameras")
-        m = min(config.n_points - kept, budget - drawn)
+        m = min(n - kept, budget - drawn)
         x = np.hstack([rng.uniform(-h, h, (m, 3)), np.ones((m, 1))])
         drawn += m
         ok = np.ones(m, bool)
@@ -149,14 +154,14 @@ def generate_scene(config=SceneConfig(), cameras=None):
 
     noisy = clean.copy()
     if config.noise_sigma > 0:
-        noisy[:, :2] += rng.normal(0.0, config.noise_sigma, (config.n_points, 2))
-        noisy[:, 3:5] += rng.normal(0.0, config.noise_sigma, (config.n_points, 2))
+        noisy[:, :2] += rng.normal(0.0, config.noise_sigma, (n, 2))
+        noisy[:, 3:5] += rng.normal(0.0, config.noise_sigma, (n, 2))
 
     return SyntheticScene(
         points=points,
         cameras=(camA, camB),
         noise_sigma=config.noise_sigma,
-        rng_seed=config.seed,
+        rng_seed=seed,
         rng_algorithm=RNG_ALGORITHM,
         correspondences=noisy,
         clean_correspondences=clean,
@@ -303,6 +308,14 @@ def _count(n, name):
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {n!r}")
     return int(n)
+
+
+def _seed(seed):
+    """seed as a generator seed: a count that is not negative."""
+    seed = _count(seed, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed cannot be negative, got {seed}")
+    return seed
 
 
 def random_calibrated_cameras(n, rng, first=None):

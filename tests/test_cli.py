@@ -121,6 +121,25 @@ class TestProject:
         assert code == 2
         assert "slit" in err
 
+    @pytest.mark.parametrize("points, code", [
+        ([1.0, 2.0, 3.0, 4.0], 0),
+        ([0.5, -1.0, 2.0], 0),
+        ([[1.0, 2.0, 3.0, 4.0, 5.0]], 2),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], 2),
+    ], ids=["flat-homogeneous", "flat-affine", "five-columns", "flat-five"])
+    def test_point_shapes(self, capsys, tmp_path, points, code):
+        """One point may come as a flat list; a row is 3 or 4 coordinates."""
+        camA, _ = reference_camera_pair()
+        path = tmp_path / "in.json"
+        tsio.write_json({"camera": tsio.camera_to_dict(camA), "points": points}, path)
+        got, out, err = run(capsys, "project", "--in", str(path))
+        assert got == code
+        if code == 0:
+            x = points + [1.0] * (4 - len(points))
+            assert json.loads(out)["images"] == [project(camA, x).tolist()]
+        else:
+            assert "rows of 3 or 4 coordinates" in err and out == ""
+
 
 class TestTensor:
     def test_from_cameras(self, capsys, tmp_path):
@@ -483,3 +502,11 @@ def test_extreme_magnitudes_end_in_an_exit_code(capsys, tmp_path, case):
             assert code == 0, err
             want = json.loads(run(capsys, "tensor", "--in", str(plain))[1])["values"]
             assert np.max(np.abs(np.subtract(json.loads(out)["values"], want))) < 1e-6
+
+
+@pytest.mark.parametrize("command", ["synth", "sfm", "selfcal"])
+def test_negative_seed_is_invalid(capsys, command):
+    code, out, err = run(capsys, command, "--seed", "-1")
+    assert code == 2
+    assert err.startswith("error:") and "seed" in err
+    assert out == ""

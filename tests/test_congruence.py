@@ -199,3 +199,17 @@ def test_transversal_homography_needs_shared_transversal():
     # transfer map stays quadratic
     with pytest.raises(ValidationError, match="misses a slit"):
         transversal_homography(cong, frame, [0.3, -0.2, 1.0, 0.7])
+
+
+def test_transversal_homography_same_plane_target_frame(rng):
+    """On the source plane itself the map is the change of frame."""
+    cong, frame = unit_example()
+    scrambled = RetinalFrame(np.stack([
+        2.0 * frame.basis[:, 0],
+        frame.basis[:, 1] - frame.basis[:, 0],
+        frame.basis[:, 2],
+    ], axis=1))
+    H, out = transversal_homography(cong, frame, 3.0 * frame.plane, target_frame=scrambled)
+    assert out is scrambled
+    for u in rng.normal(size=(5, 3)):
+        assert proj_equal(scrambled.coords(frame.point(u)), H @ u, tol=1e-9)

@@ -530,3 +530,22 @@ def test_residuals_ignore_each_rows_power_of_two(seed, powers):
         big = EpipolarTensor(np.ldexp(t.values, 1000))
         assert np.array_equal(epipolar_residuals(big, scaled), want)
         assert np.array_equal(big.normalized().values, t.normalized().values)
+
+
+def row_with_zero_factor():
+    corr = generate_scene(SceneConfig(n_points=20, seed=3)).correspondences
+    corr[0, [0, 2]] = 0.0  # u1 = u3 = 0: the factor (u1, u3) vanishes
+    return corr
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: epipolar_residual(t, [1.0, 2.0], [1.0, 2.0, 3.0]), "image point u"),
+    (lambda t: epipolar_residual(t, [1.0, 2.0, 3.0], np.ones((2, 2))), "image point v"),
+    (lambda t: estimate_tensor_linear(row_with_zero_factor()), "identically zero factor"),
+    (lambda t: essential_decompose(t, np.eye(3), np.eye(2), np.eye(2), np.eye(2)),
+     "K1A must be 2x2"),
+], ids=["short-u", "long-v", "zero-factor", "3x3-calibration"])
+@pytest.mark.filterwarnings("error")
+def test_bad_arguments_end_in_validation_errors(reference_pair, call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(tensor_from_cameras(*reference_pair))

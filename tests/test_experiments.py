@@ -6,14 +6,17 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from twoslit.cameras import apply_space_transform
+from twoslit.cameras import TwoSlitCamera, apply_space_transform, camera_distance
+from twoslit.epipolar import normal_form_transform
 from twoslit.errors import ValidationError
 from twoslit.experiments import (
     SelfcalConfig,
     SfmReport,
     run_selfcal_experiment,
     run_sfm_experiment,
+    run_sfm_pipeline,
 )
+from twoslit.io import write_json
 from twoslit.golden import REFERENCE_MAGNIFICATIONS, REFERENCE_Q
 from twoslit.projective import RetinalFrame
 from twoslit.synthetic import (
@@ -21,6 +24,7 @@ from twoslit.synthetic import (
     generate_scene,
     random_calibrated_cameras,
     reference_camera_pair,
+    reprojection_rms,
 )
 
 
@@ -276,3 +280,71 @@ def test_selfcal_factorizations_do_not_grow_with_the_rig(monkeypatch):
         assert run_selfcal_experiment(SelfcalConfig(n_cameras=n, seed=1)).ok
         counts[n] = len(calls)
     assert counts[10] == counts[200], counts
+
+
+def test_truth_frame_costs_one_svd_per_configuration(monkeypatch):
+    """With truth, run_sfm_pipeline makes one SVD more for the frame
+    (normal_form_transform) and one per configuration (its moved pair,
+    checked as one rig) than without."""
+    scene = generate_scene(SceneConfig(seed=4, image_scale=100))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = {}
+    for truth in (None, scene.cameras):
+        calls.clear()
+        report = run_sfm_pipeline(scene.correspondences, SfmReport(), truth=truth)
+        assert report.ok and len(report.configurations) == 2
+        counts[truth is not None] = len(calls)
+    assert counts[True] - counts[False] == 1 + 2, counts
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_configurations_are_judged_as_moved_cameras(seed):
+    """Each configuration's camera gap and reprojection RMS are those of
+    its two cameras moved one by one by apply_space_transform."""
+    config = SceneConfig(seed=seed, noise_sigma=1e-4, image_scale=100)
+    truth = generate_scene(config).cameras
+    report = run_sfm_experiment(config)
+    W = normal_form_transform(*truth)
+    for entry in report.configurations:
+        cams = entry["cameras"]
+        moved = [apply_space_transform(TwoSlitCamera(cams[a], cams[b]), W)
+                 for a, b in (("A1", "A2"), ("B1", "B2"))]
+        assert entry["camera_gap"] == max(camera_distance(c, t) for c, t in zip(moved, truth))
+        assert entry["reprojection_rms"] == reprojection_rms(
+            *moved, np.array(report.correspondences))
+
+
+def no_sampling(seed):
+    raise AssertionError("the runner sampled before validating its seed")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+@pytest.mark.parametrize("run", [
+    lambda seed: run_sfm_experiment(SceneConfig(seed=seed)),
+    lambda seed: run_sfm_experiment(SceneConfig(seed=seed), correspondences=np.ones((20, 6))),
+    lambda seed: run_selfcal_experiment(SelfcalConfig(seed=seed)),
+], ids=["sfm", "sfm-given-correspondences", "selfcal"])
+def test_seed_is_invalid_before_sampling(run, seed, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(ValidationError, match="seed"):
+        run(seed)
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: run_sfm_experiment(SceneConfig(n_points=20, seed=seed)),
+    lambda seed: run_selfcal_experiment(SelfcalConfig(n_cameras=6, seed=seed)),
+], ids=["sfm", "selfcal"])
+def test_numpy_integer_seed_gives_the_int_report(run, tmp_path):
+    written = []
+    for seed in (np.int64(3), 3):
+        report = run(seed)
+        assert report.ok and type(report.seed) is int
+        write_json(report.to_dict(), tmp_path / "report.json")
+        written.append((tmp_path / "report.json").read_bytes())
+    assert written[0] == written[1]

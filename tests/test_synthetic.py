@@ -7,6 +7,7 @@ import pytest
 
 from twoslit.cameras import (
     TwoSlitCamera,
+    apply_space_transform,
     decompose_parallel,
     inverse_ray,
     is_parallel,
@@ -590,3 +591,43 @@ def test_triangulation_ignores_each_image_points_power_of_two():
     X, r = triangulate_points(*scene.cameras, corr)
     Xs, rs = triangulate_points(*scene.cameras, scaled)
     assert np.array_equal(Xs, X) and np.array_equal(rs, r)
+
+
+def no_sampling(seed):
+    raise AssertionError("generate_scene sampled before validating its config")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_seed_is_invalid_before_sampling(seed, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(ValidationError, match="seed"):
+        generate_scene(SceneConfig(seed=seed))
+
+
+@pytest.mark.parametrize("field", ["box_halfwidth", "image_scale"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, -1.0, 0.0])
+@pytest.mark.filterwarnings("error")
+def test_scene_sizes_must_be_finite_and_positive(field, value, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(ValidationError, match=field):
+        generate_scene(SceneConfig(**{field: value}))
+
+
+def test_numpy_integer_seed_gives_the_same_scene():
+    scene = generate_scene(SceneConfig(n_points=12, seed=np.int64(3)))
+    reference = generate_scene(SceneConfig(n_points=12, seed=3))
+    assert type(scene.rng_seed) is int
+    assert np.array_equal(scene.correspondences, reference.correspondences)
+
+
+def test_default_pair_is_the_fixed_camera_and_its_moved_copy():
+    """The second default camera is bit for bit the first one moved by
+    apply_space_transform."""
+    camA, camB = default_camera_pair()
+    motion = euclidean_transform(
+        rotation_about_axis([0, 1, 0], 0.6) @ rotation_about_axis([1, 0, 0], 0.35),
+        [1.5, -2.0, 0.8])
+    moved = apply_space_transform(TwoSlitCamera(camA.A1, camA.A2), motion)
+    assert np.array_equal(camA.A1, [[0.0, 1, 0, 0], [0, 0, 1, -8]])
+    assert np.array_equal(camA.A2, [[1.0, 0, 0, 0], [0, 0, 1, 8]])
+    assert np.array_equal(camB.A1, moved.A1) and np.array_equal(camB.A2, moved.A2)
