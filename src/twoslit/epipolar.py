@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .cameras import _rig
-from .projective import COARSE_TOL, FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
+from .projective import FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
 from .projective import negligible, pow2_scaled, scale_free_gap
 
 MIN_CORRESPONDENCES = 15
@@ -243,8 +243,8 @@ def estimate_tensor_linear(correspondences):
 @dataclass(frozen=True, eq=False)
 class MinorMatrix:
     """4x4 matrix of normal-form second rows, gauge-fixed so that the
-    off-diagonal entries of the first row are all one (or, in the
-    fallback gauge, those of the first column)."""
+    off-diagonal entries of the first row are all one (or, for a
+    transpose, those of the first column)."""
 
     matrix: np.ndarray
 
@@ -277,30 +277,22 @@ def _roots_guarded(a, b, c):
     return [(-b + r) / (2.0 * a), (-b - r) / (2.0 * a)]
 
 
-def _same_up_to_diagonal_gauge(col_C, row_C):
-    """True when a column-pinned candidate is the row-pinned one rescaled."""
-    d = col_C[0, 1:]
-    if np.min(np.abs(d)) < ZERO_TOL * max(1.0, float(np.max(np.abs(col_C)))):
-        return False
-    rescaled = col_C[1:, 1:] * (d[:, None] / d[None, :])
-    tol = COARSE_TOL * max(1.0, float(np.max(np.abs(row_C))))
-    return float(np.max(np.abs(rescaled - row_C[1:, 1:]))) <= tol
-
-
 def recover_minor_matrices(tensor):
     """Candidate minor matrices whose principal minors reproduce the tensor.
 
     Fourteen entries pin the linear part and three coupled quadratics;
     the remaining two entries (f1111, f2111) score each of the up to
-    eight sign combinations. Candidates are gauge-fixed with the
-    off-diagonal first-row entries pinned to one. That gauge cannot
-    represent a configuration whose pinned entries include a true zero,
-    so when fewer than two candidates come out clean a second pass pins
-    the first column instead and contributes any configurations the
-    first pass missed. Returns (MinorMatrix, residual) pairs sorted by
-    residual; for an exact tensor of a generic camera pair, exactly two
-    candidates have residual ~0 and they are each other's transpose
-    conjugates.
+    eight sign combinations, stacked as one (k, 4, 4) array. Candidates
+    are gauge-fixed with the off-diagonal first-row entries pinned to
+    one. That gauge cannot represent a configuration whose pinned
+    entries include a true zero, so when fewer than two candidates come
+    out clean the transposes join them: a transpose has the same
+    principal minors, so the same residual, and its first column is
+    pinned instead. A root at zero of a quadratic has no partner P/x;
+    when P vanishes it takes its partner from the linear relation
+    instead. Returns (MinorMatrix, residual) pairs sorted by residual;
+    for an exact tensor of a generic camera pair, exactly two candidates
+    have residual ~0 and they are each other's transpose conjugates.
     """
     F = tensor.values
     nf = float(np.max(np.abs(F)))
@@ -321,11 +313,10 @@ def recover_minor_matrices(tensor):
     c31 = c11 * c33 - f(1, 2, 1, 2)
     c41 = c11 * c44 - f(1, 2, 2, 1)
 
-    # Each pair (c_sr, c_rs) satisfies c_sr * c_rs = P (a 2x2 principal
-    # minor) and a quadratic from the 3x3 minor containing row/col 1:
-    # lo*x^2 + b*x + hi*P = 0 in the row-pinned gauge. Pinning the
-    # first column instead swaps lo and hi; b is shared because the
-    # underlying linear relation has gauge-invariant coefficients.
+    # Each pair (x, y) = (c_sr, c_rs) satisfies x * y = P (a 2x2
+    # principal minor) and, from the 3x3 minor containing row/col 1, the
+    # linear relation lo*x + hi*y = -b; with y = P/x that is the
+    # quadratic lo*x^2 + b*x + hi*P = 0.
     branch_data = (
         (c22 * c33 - f(2, 1, 1, 2),
          c21,
@@ -340,45 +331,35 @@ def recover_minor_matrices(tensor):
          f(1, 2, 1, 1) + c11 * f(2, 2, 1, 1) - c41 * c33 - c31 * c44,
          c41),
     )
-
-    def gauge_pass(pin_column):
-        branches = []
-        for (P, lo, b, hi) in branch_data:
-            if pin_column:
-                lo, hi = hi, lo
-            pairs = []
-            for root in _roots_guarded(lo, b, hi * P):
-                if abs(root) < ZERO_TOL * (abs(P) + 1.0):
-                    continue
+    branches = []
+    for (P, lo, b, hi) in branch_data:
+        pairs = []
+        for root in _roots_guarded(lo, b, hi * P):
+            if abs(root) >= ZERO_TOL * (abs(P) + 1.0):
                 pairs.append((root, P / root))
-            branches.append(pairs)
+            elif abs(P) < ZERO_TOL and abs(hi) >= ZERO_TOL:
+                pairs.append((0.0, -b / hi))
+        branches.append(pairs)
 
-        out = []
-        for (c32, c23), (c42, c24), (c43, c34) in itertools.product(*branches):
-            C = np.array([
-                [c11, 1.0, 1.0, 1.0],
-                [c21, c22, c23, c24],
-                [c31, c32, c33, c34],
-                [c41, c42, c43, c44],
-            ])
-            if pin_column:
-                C[0, 1:], C[1:, 0] = C[1:, 0], 1.0
-            res = (np.linalg.det(C) - f(1, 1, 1, 1)) ** 2 + \
-                  (-np.linalg.det(C[1:, 1:]) - f(2, 1, 1, 1)) ** 2
-            out.append((C, float(res)))
-        return out
-
-    candidates = gauge_pass(False)
-    if sum(1 for _, res in candidates if res < FIT_TOL) < 2:
-        extra = [
-            (C, res) for C, res in gauge_pass(True)
-            if not any(_same_up_to_diagonal_gauge(C, R) for R, _ in candidates)
-        ]
-        candidates = candidates + extra
-    if not candidates:
+    blocks = np.array(list(itertools.product(*branches))).reshape(-1, 6)
+    if not len(blocks):
         raise DegeneracyError("all solution branches are degenerate")
+    C = np.tile([[c11, 1.0, 1.0, 1.0],
+                 [c21, c22, 0.0, 0.0],
+                 [c31, 0.0, c33, 0.0],
+                 [c41, 0.0, 0.0, c44]], (len(blocks), 1, 1))
+    # each pair fills (c32, c23), (c42, c24), (c43, c34)
+    C[:, [2, 1, 3, 1, 3, 2], [1, 2, 1, 3, 2, 3]] = blocks
+    # squared as Python floats: a numpy array square differs from
+    # their ** 2 in the last bit of some values
+    res = [a ** 2 + b ** 2 for a, b in zip(
+        (np.linalg.det(C) - f(1, 1, 1, 1)).tolist(),
+        (-np.linalg.det(C[:, 1:, 1:]) - f(2, 1, 1, 1)).tolist())]
+    candidates = list(zip(C, res))
+    if sum(r < FIT_TOL for r in res) < 2:
+        candidates += zip(C.transpose(0, 2, 1).copy(), res)
     candidates.sort(key=lambda t: t[1])
-    return [(MinorMatrix(C), res) for C, res in candidates[:8]]
+    return [(MinorMatrix(M), r) for M, r in candidates[:8]]
 
 
 def cameras_from_minor_matrix(minor):

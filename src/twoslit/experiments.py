@@ -30,6 +30,7 @@ from .selfcal import DualAbsoluteQuadric, estimate_daq, extract_upgrade, similar
 from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
+    _check_range,
     _count,
     _seed,
     generate_scene,
@@ -183,8 +184,7 @@ class SelfcalReport(_Report):
 def run_selfcal_experiment(config=SelfcalConfig()):
     """Scramble calibrated cameras by a projective frame, add noise,
     and measure how well self-calibration undoes it."""
-    if not 0 <= config.noise_sigma < np.inf:
-        raise ValidationError("noise sigma must be finite and cannot be negative")
+    _check_range(config.noise_sigma, "noise sigma")
     n = _count(config.n_cameras, "n_cameras")
     seed = _seed(config.seed)
     report = SelfcalReport(seed=seed, noise_sigma=config.noise_sigma, n_cameras=n)

@@ -114,12 +114,9 @@ def generate_scene(config=SceneConfig(), cameras=None):
     n = _count(config.n_points, "n_points")
     if n < 1:
         raise ValidationError(f"scene needs at least one point, got {n}")
-    if not 0 <= config.noise_sigma < np.inf:
-        raise ValidationError("noise sigma must be finite and cannot be negative")
+    _check_range(config.noise_sigma, "noise sigma")
     for name in ("box_halfwidth", "image_scale"):
-        value = getattr(config, name)
-        if not 0 < value < np.inf:
-            raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+        _check_range(getattr(config, name), name, positive=True)
     seed = _seed(config.seed)
     rng = np.random.default_rng(seed)
     camA, camB = cameras if cameras is not None else default_camera_pair()
@@ -316,6 +313,19 @@ def _seed(seed):
     if seed < 0:
         raise ValidationError(f"seed cannot be negative, got {seed}")
     return seed
+
+
+def _check_range(value, name, positive=False):
+    """ValidationError naming a config field unless value is finite and
+    not negative (positive: above zero); a value that does not compare
+    with numbers, such as a string or None, fails too."""
+    try:
+        ok = (0 < value if positive else 0 <= value) and value < np.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}" if positive
+                              else f"{name} must be finite and cannot be negative")
 
 
 def random_calibrated_cameras(n, rng, first=None):

@@ -16,6 +16,7 @@ from twoslit.cameras import (
     inverse_ray,
     is_parallel,
     project,
+    project_points,
     slits,
     to_quadratic,
 )
@@ -507,3 +508,30 @@ def test_large_and_small_entries_keep_the_camera_valid(scale):
         TwoSlitCamera(scale * np.array(A1), [[0.0, 1, 0, 0], [1, 0, 0, 0]])
     with pytest.raises(ValidationError, match="A1 is rank deficient"):
         TwoSlitCamera(scale * np.array([[1.0, 0, 0, 0], [2, 0, 0, 0]]), A2)
+
+
+BASE_LINE_CAMERA = ([[1.0, 0, 0, 0], [0, 0, 1, 0]], [[0.0, 1, 0, 0], [0, 0, 0, 1]])
+PUSHBROOM = ([[1.0, 0, 0, 0.7], [0, 0, 0, 1]], [[0.0, 1, 0, -0.2], [0, 0, 1, 1.1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cam: project_points(cam, np.ones((2, 3))), r"points must be \(n, 4\)"),
+    (lambda cam: project_points(cam, [[1.0, 2, 3, 4], [1, np.nan, 0, 1]]),
+     "point has non-finite entries"),
+    (lambda cam: project_points(cam, [[1.0, 2, 3, 4], [0, 0, 0, 0]]),
+     "point is the zero vector"),
+    (lambda cam: project_points(cam, [[1.0, 1, 0, 0]]),
+     "point lies on the base line p2.x = q2.x = 0"),
+    (lambda cam: project(cam, [1.0, 2, 3, 4, 5]), "point must have 4 entries"),
+    (lambda cam: decompose_parallel(TwoSlitCamera(*PUSHBROOM)),
+     "a slit lies at infinity; parallel decomposition undefined"),
+    (lambda cam: decompose_pushbroom(TwoSlitCamera(
+        PUSHBROOM[0], [[0.0, 1, 0, -0.2], [1, 0, 1, 1.1]])),
+     "sweep direction must be orthogonal to the second camera's view direction"),
+    (lambda cam: apply_space_transform(cam, np.eye(4)[:3]), "space transform must be 4x4"),
+], ids=["points-not-n-by-4", "non-finite-row", "zero-row", "base-line-point",
+        "five-entry-point", "parallel-of-pushbroom", "pushbroom-not-orthogonal",
+        "3x4-transform"])
+def test_camera_error_branches_end_in_validation_errors(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(TwoSlitCamera(*BASE_LINE_CAMERA))

@@ -16,6 +16,7 @@ from twoslit.cameras import (
 from twoslit.epipolar import (
     EpipolarTensor,
     MinorMatrix,
+    _roots_guarded,
     cameras_from_minor_matrix,
     epipolar_residual,
     epipolar_residuals,
@@ -32,6 +33,7 @@ from twoslit.epipolar import (
     two_configurations,
 )
 from twoslit.errors import DegeneracyError, ValidationError
+from twoslit.projective import COARSE_TOL, FIT_TOL, ZERO_TOL
 from twoslit.synthetic import SceneConfig, generate_scene
 from twoslit.golden import (
     REFERENCE_CONFIG_A,
@@ -549,3 +551,118 @@ def row_with_zero_factor():
 def test_bad_arguments_end_in_validation_errors(reference_pair, call, message):
     with pytest.raises(ValidationError, match=message):
         call(tensor_from_cameras(*reference_pair))
+
+
+def two_pass_reference(tensor):
+    """recover_minor_matrices as it was with a second, column-pinned pass
+    of the quadratics, kept to show that one pass plus transposes gives
+    the same candidates, bit for bit, wherever a generic pair is fed."""
+    F = tensor.values
+    Fn = F / F[1, 1, 1, 1]
+
+    def f(i, j, k, l):
+        return float(Fn[i - 1, j - 1, k - 1, l - 1])
+
+    c11, c22, c33, c44 = -f(1, 2, 2, 2), -f(2, 1, 2, 2), -f(2, 2, 1, 2), -f(2, 2, 2, 1)
+    c21 = c11 * c22 - f(1, 1, 2, 2)
+    c31 = c11 * c33 - f(1, 2, 1, 2)
+    c41 = c11 * c44 - f(1, 2, 2, 1)
+    branch_data = (
+        (c22 * c33 - f(2, 1, 1, 2), c21,
+         f(1, 1, 1, 2) + c11 * f(2, 1, 1, 2) - c31 * c22 - c21 * c33, c31),
+        (c22 * c44 - f(2, 1, 2, 1), c21,
+         f(1, 1, 2, 1) + c11 * f(2, 1, 2, 1) - c41 * c22 - c21 * c44, c41),
+        (c33 * c44 - f(2, 2, 1, 1), c31,
+         f(1, 2, 1, 1) + c11 * f(2, 2, 1, 1) - c41 * c33 - c31 * c44, c41),
+    )
+
+    def gauge_pass(pin_column):
+        branches = []
+        for (P, lo, b, hi) in branch_data:
+            if pin_column:
+                lo, hi = hi, lo
+            branches.append([(root, P / root) for root in _roots_guarded(lo, b, hi * P)
+                             if abs(root) >= ZERO_TOL * (abs(P) + 1.0)])
+        out = []
+        for (c32, c23), (c42, c24), (c43, c34) in itertools.product(*branches):
+            C = np.array([[c11, 1.0, 1.0, 1.0], [c21, c22, c23, c24],
+                          [c31, c32, c33, c34], [c41, c42, c43, c44]])
+            if pin_column:
+                C[0, 1:], C[1:, 0] = C[1:, 0], 1.0
+            res = (np.linalg.det(C) - f(1, 1, 1, 1)) ** 2 + \
+                  (-np.linalg.det(C[1:, 1:]) - f(2, 1, 1, 1)) ** 2
+            out.append((C, float(res)))
+        return out
+
+    def same_up_to_diagonal_gauge(col_C, row_C):
+        d = col_C[0, 1:]
+        if np.min(np.abs(d)) < ZERO_TOL * max(1.0, float(np.max(np.abs(col_C)))):
+            return False
+        rescaled = col_C[1:, 1:] * (d[:, None] / d[None, :])
+        tol = COARSE_TOL * max(1.0, float(np.max(np.abs(row_C))))
+        return float(np.max(np.abs(rescaled - row_C[1:, 1:]))) <= tol
+
+    candidates = gauge_pass(False)
+    if sum(1 for _, res in candidates if res < FIT_TOL) < 2:
+        candidates += [(C, res) for C, res in gauge_pass(True) if not any(
+            same_up_to_diagonal_gauge(C, R) for R, _ in candidates)]
+    candidates.sort(key=lambda t: t[1])
+    return candidates[:8]
+
+
+def recovery_inputs():
+    yield "golden", EpipolarTensor(REFERENCE_TENSOR)
+    for seed in range(0, 40, 2):
+        for sigma in (0.0, 1e-4):
+            scene = generate_scene(SceneConfig(n_points=70, noise_sigma=sigma, seed=seed))
+            yield f"seed{seed}-sigma{sigma}", estimate_tensor_linear(scene.correspondences)
+
+
+def test_one_pass_recovery_keeps_every_bit_of_two_passes():
+    for name, t in recovery_inputs():
+        got = [(m.matrix, r) for m, r in recover_minor_matrices(t)]
+        want = two_pass_reference(t)
+        assert len(got) == len(want), name
+        for (C, r), (R, s) in zip(got, want):
+            assert C.tobytes() == R.tobytes() and r.hex() == s.hex(), name
+
+
+@pytest.mark.parametrize("zero", [(1, 2), (2, 1), (1, 3), (3, 2)])
+def test_block_zero_yields_both_configurations(rng, zero):
+    """A zero in the 3x3 block makes a root of its quadratic zero: its
+    partner comes from the linear relation, so both configurations come
+    out clean, in the row gauge, one with the zero and one with it
+    transposed; the two-pass reference finds only one."""
+    for _ in range(5):
+        C = rng.normal(size=(4, 4))
+        C[zero] = 0.0
+        t = tensor_from_cameras(*normal_form_cameras(C))
+        clean = [m for m, r in recover_minor_matrices(t) if r < CLEAN]
+        assert len(clean) == 2
+        assert all(np.array_equal(m.matrix[0, 1:], np.ones(3)) for m in clean)
+        assert sorted((abs(m.matrix[zero]) < ZERO_TOL, abs(m.matrix[zero[::-1]]) < ZERO_TOL)
+                      for m in clean) == [(False, True), (True, False)]
+        for m in clean:
+            a, b = cameras_from_minor_matrix(m)
+            assert tensors_equal(tensor_from_cameras(a, b), t, tol=1e-7)
+        assert sum(r < CLEAN for _, r in two_pass_reference(t)) == 1
+
+
+def test_recovery_scores_all_candidates_with_two_determinants(monkeypatch, reference_pair):
+    """The sign combinations are scored as one stack: two det calls per
+    recovery, not two per candidate."""
+    calls = []
+    det = np.linalg.det
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return det(a)
+    monkeypatch.setattr(np.linalg, "det", counting)
+    tensors = [tensor_from_cameras(*reference_pair),
+               tensor_from_cameras(*normal_form_cameras(
+                   [[0.609, 0.0, 1.501, 1.881], [-3.902, -2.604, 0.256, -0.632],
+                    [-0.034, -1.706, 1.759, 1.556], [0.132, 2.254, 0.935, -1.719]]))]
+    for t in tensors:
+        calls.clear()
+        assert len(recover_minor_matrices(t)) > 2
+        assert len(calls) == 2

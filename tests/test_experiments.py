@@ -348,3 +348,19 @@ def test_numpy_integer_seed_gives_the_int_report(run, tmp_path):
         write_json(report.to_dict(), tmp_path / "report.json")
         written.append((tmp_path / "report.json").read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("value", ["0.1", None, [1.0]], ids=["string", "none", "list"])
+@pytest.mark.parametrize("run, message", [
+    (lambda v: generate_scene(SceneConfig(noise_sigma=v)),
+     "noise sigma must be finite and cannot be negative"),
+    (lambda v: generate_scene(SceneConfig(box_halfwidth=v)), "box_halfwidth must be finite"),
+    (lambda v: generate_scene(SceneConfig(image_scale=v)), "image_scale must be finite"),
+    (lambda v: run_selfcal_experiment(SelfcalConfig(noise_sigma=v)),
+     "noise sigma must be finite and cannot be negative"),
+], ids=["scene-sigma", "box_halfwidth", "image_scale", "selfcal-sigma"])
+def test_non_numeric_config_values_end_in_validation_errors(run, message, value):
+    """A value that does not compare with numbers fails the field's range
+    check like a value out of range, not with a bare TypeError."""
+    with pytest.raises(ValidationError, match=message):
+        run(value)
