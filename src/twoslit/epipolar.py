@@ -406,10 +406,15 @@ def transpose_conjugate(minor):
 
 
 def two_configurations(minor):
-    """Both camera configurations compatible with the minors of C."""
+    """Both camera configurations compatible with the minors of C. Where
+    a zero in C's first column leaves transpose_conjugate undefined, C is
+    row-pinned, and its plain transpose is pinned in the column gauge."""
     first = cameras_from_minor_matrix(minor)
-    second = cameras_from_minor_matrix(transpose_conjugate(minor))
-    return first, second
+    try:
+        companion = transpose_conjugate(minor)
+    except DegeneracyError:
+        companion = MinorMatrix(minor.matrix.T)
+    return first, cameras_from_minor_matrix(companion)
 
 
 def _calibrations(*Ks):

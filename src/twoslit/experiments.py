@@ -31,6 +31,7 @@ from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
     _check_range,
+    _check_scene,
     _count,
     _seed,
     generate_scene,
@@ -134,7 +135,8 @@ def run_sfm_experiment(config=SceneConfig(), correspondences=None):
     Invalid correspondences and numerical failures during estimation
     are reported, not raised.
     """
-    report = SfmReport(seed=_seed(config.seed), noise_sigma=config.noise_sigma)
+    _, seed = _check_scene(config)
+    report = SfmReport(seed=seed, noise_sigma=config.noise_sigma)
     truth = None
     if correspondences is None:
         scene = generate_scene(config)

@@ -14,7 +14,7 @@ import numpy as np
 from . import golden
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _images, _rig, project_points
-from .epipolar import _as_correspondences, _factors
+from .epipolar import _EPSILON, _as_correspondences, _factors
 from .io import _field
 from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector, pow2_scaled
 
@@ -22,6 +22,7 @@ RNG_ALGORITHM = "numpy-PCG64"
 STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
 MAX_PASSES = 50  # residual evaluations per point after the start, at most
 MAGNIFICATION_RANGE = (0.5, 4.0)  # of random_calibrated_cameras
+_POWER_STEPS = 2  # inverse-iteration steps of a triangulated point's start
 
 
 def reference_camera_pair():
@@ -111,13 +112,7 @@ def generate_scene(config=SceneConfig(), cameras=None):
     zero-mean gaussian noise of the configured sigma is added to the
     inhomogeneous image coordinates.
     """
-    n = _count(config.n_points, "n_points")
-    if n < 1:
-        raise ValidationError(f"scene needs at least one point, got {n}")
-    _check_range(config.noise_sigma, "noise sigma")
-    for name in ("box_halfwidth", "image_scale"):
-        _check_range(getattr(config, name), name, positive=True)
-    seed = _seed(config.seed)
+    n, seed = _check_scene(config)
     rng = np.random.default_rng(seed)
     camA, camB = cameras if cameras is not None else default_camera_pair()
 
@@ -189,15 +184,54 @@ def _gauss_newton_steps(J, r, x):
     return -np.linalg.solve(A, Jt @ r[..., None])[..., 0]
 
 
+def _start_points(planes, D):
+    """Unit start points of (n, 4, 4) unit planes: two of camera A, whose
+    denominator rows are D, then two of camera B.
+
+    Contracting the outer product of one camera's planes with the
+    Levi-Civita symbol gives the 4x4 matrix of its ray; times a plane of
+    the other camera it gives the point where those three planes meet.
+    The four meets are the rows of C = det(P) P^-T up to sign. A point
+    starts at the longest meet and takes _POWER_STEPS steps x <- C^T C x:
+    as C^T C = det(P)^2 (P^T P)^-1, that is inverse iteration without a
+    solve, and the row signs cancel."""
+    pairs = planes.reshape(-1, 2, 2, 4)
+    outer = (pairs[:, :, 0, :, None] * pairs[:, :, 1, None, :]).reshape(-1, 2, 16)
+    rays = (outer @ _EPSILON).reshape(-1, 2, 4, 4)
+    C = (pairs[:, ::-1] @ rays).reshape(-1, 4, 4)
+    rows = np.arange(len(C)), np.argmax(np.einsum("nij,nij->ni", C, C), axis=1)
+    longest = np.linalg.norm(C[rows], axis=1)
+    # Planes of rank 2, such as one camera used twice gives, leave only
+    # rounding in C, and every point of camera A's ray is exact. The ray
+    # meets each slit where it meets that slit's plane in D; the point
+    # halfway between those two stands in for every meet, as neither
+    # denominator vanishes there.
+    flat = longest < ROUNDOFF
+    if np.any(flat):
+        slits = rays[flat, 0] @ D.T
+        C[flat] = np.sum(slits / np.linalg.norm(slits, axis=1, keepdims=True), axis=2)[:, None]
+        longest[flat] = np.linalg.norm(C[flat, 0], axis=1)
+    if np.any(longest <= TINY):
+        raise DegeneracyError("the image planes of a point give no start point")
+    # entries at most 1 and a row of length 1, so |C^T C x| >= |C x|^2 >= 1
+    C /= longest[:, None, None]
+    x = C[rows]
+    for _ in range(_POWER_STEPS):
+        x = np.einsum("nki,nk->ni", C, np.einsum("nki,ni->nk", C, x))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
+
+
 def triangulate_points(camA, camB, correspondences):
     """Unit homogeneous points (n, 4) of (n, 6) correspondences, and
     their residuals (n, 4): reprojected minus measured u1/u3, u2/u3,
     v1/v3 and v2/v3.
 
     Each image coordinate fixes a plane through the point, such as
-    u3 p1 - u1 p2 for u1/u3. A point starts at the least-squares common
-    point of its four unit planes (one batched SVD), exact for noiseless
-    data. Gauss-Newton on the unit sphere refines all points at once, one
+    u3 p1 - u1 p2 for u1/u3. A point starts near the least-squares common
+    point of its four unit planes, from the points where three of them
+    meet (_start_points, no factorization), exact for noiseless data.
+    Gauss-Newton on the unit sphere refines all points at once, one
     batched 4x4 solve per pass, halving a point's step until it lowers
     the residual. A point stops after trying a step shorter than STEP_TOL.
     """
@@ -211,7 +245,7 @@ def triangulate_points(camA, camB, correspondences):
     D = np.stack([camA.A1[1], camA.A2[1], camB.A1[1], camB.A2[1]])
     planes = w[..., None] * N - z[..., None] * D
     planes /= np.linalg.norm(planes, axis=2, keepdims=True)
-    x = np.linalg.svd(planes)[2][:, 3]
+    x = _start_points(planes, D[:2])
     t = z / w
     r, J = _linearize(N, D, t, x)
     if not np.all(np.isfinite(r)):
@@ -326,6 +360,18 @@ def _check_range(value, name, positive=False):
     if not ok:
         raise ValidationError(f"{name} must be finite and positive, got {value!r}" if positive
                               else f"{name} must be finite and cannot be negative")
+
+
+def _check_scene(config):
+    """The point count and seed of a SceneConfig, after every field of it
+    is checked."""
+    n = _count(config.n_points, "n_points")
+    if n < 1:
+        raise ValidationError(f"scene needs at least one point, got {n}")
+    _check_range(config.noise_sigma, "noise sigma")
+    for name in ("box_halfwidth", "image_scale"):
+        _check_range(getattr(config, name), name, positive=True)
+    return n, _seed(config.seed)
 
 
 def random_calibrated_cameras(n, rng, first=None):

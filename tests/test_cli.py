@@ -294,6 +294,18 @@ def test_sfm_reads_csv_by_file_name(capsys, tmp_path):
     assert json.loads(out)["ok"]
 
 
+def test_sfm_in_passes_the_config_check(capsys, tmp_path):
+    """`sfm --in` runs on the default SceneConfig, which the check of every
+    config field passes, and reports its noise sigma."""
+    corr = tmp_path / "c.csv"
+    tsio.write_correspondences(
+        generate_scene(SceneConfig(n_points=20, seed=2)).correspondences, corr, fmt="csv")
+    code, out, _ = run(capsys, "sfm", "--in", str(corr))
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["noise_sigma"] == SceneConfig().noise_sigma
+
+
 def test_closed_stdout_exits_quietly():
     """A reader that stops early, as `| head -1` does, ends the command
     with the shell's SIGPIPE status and nothing on stderr."""

@@ -295,6 +295,26 @@ class TestRecovery:
         for camA, camB in two_configurations(minor):
             assert tensors_equal(tensor_from_cameras(camA, camB), t, tol=1e-9)
 
+    @pytest.mark.parametrize("second_rows", [
+        # the two pairs of test_pinned_zero_triggers_column_fallback
+        [[0.609, 0.0, 1.501, 1.881],
+         [-3.902, -2.604, 0.256, -0.632],
+         [-0.034, -1.706, 1.759, 1.556],
+         [0.132, 2.254, 0.935, -1.719]],
+        [[0.738, -1.918, 1.757, -0.1],
+         [0.0, -1.362, 2.445, -0.309],
+         [-0.857, -0.704, 1.065, 0.731],
+         [0.825, 0.862, 4.283, -0.813]],
+    ])
+    def test_two_configurations_of_a_pinned_zero_reproduce_tensor(self, second_rows):
+        """The best candidate holds a zero in its first column, where
+        transpose_conjugate is undefined; its plain transpose stands in."""
+        t = tensor_from_cameras(*normal_form_cameras(second_rows))
+        minor = recover_minor_matrices(t)[0][0]
+        assert np.min(np.abs(minor.matrix[1:, 0])) == 0.0
+        for camA, camB in two_configurations(minor):
+            assert tensors_equal(tensor_from_cameras(camA, camB), t, tol=1e-7)
+
     def test_symmetric_minor_matrix_is_self_conjugate(self, rng):
         M = rng.normal(size=(4, 4))
         C = (M + M.T) / 2.0

@@ -364,3 +364,18 @@ def test_non_numeric_config_values_end_in_validation_errors(run, message, value)
     check like a value out of range, not with a bare TypeError."""
     with pytest.raises(ValidationError, match=message):
         run(value)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("noise_sigma", "abc", "noise sigma"),
+    ("noise_sigma", -1.0, "noise sigma"),
+    ("box_halfwidth", 0.0, "box_halfwidth"),
+    ("image_scale", None, "image_scale"),
+    ("n_points", 0, "at least one point"),
+])
+def test_given_correspondences_still_check_every_config_field(field, value, message):
+    """The config is checked whole whichever path the run takes, so a bad
+    field is not stored in the report of a run on given correspondences."""
+    corr = generate_scene(SceneConfig(n_points=20, seed=1)).correspondences
+    with pytest.raises(ValidationError, match=message):
+        run_sfm_experiment(SceneConfig(**{field: value}), correspondences=corr)

@@ -36,7 +36,7 @@ from twoslit.synthetic import (
     triangulate_correspondence,
     triangulate_points,
 )
-from twoslit import golden
+from twoslit import golden, synthetic
 from twoslit.projective import ZERO_TOL
 from twoslit.synthetic import _gauss_newton_steps
 
@@ -445,9 +445,54 @@ class TestGaussNewtonSteps:
         assert np.all(reached <= best + 1e-12 * np.linalg.norm(r, axis=1))
 
 
+class TestTriangulationStart:
+    @pytest.mark.parametrize("sigma", [0.0, 1e-5, 1e-4])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_start_matches_a_reference_svd(self, seed, sigma, monkeypatch):
+        """The start of every point is the right singular vector of its
+        four unit planes for the smallest singular value, up to sign."""
+        gaps = []
+
+        def recording(planes, D, _start=synthetic._start_points):
+            x = _start(planes, D)
+            reference = np.linalg.svd(planes)[2][:, 3]
+            gaps.append(projective_gap(x, reference))
+            return x
+        monkeypatch.setattr(synthetic, "_start_points", recording)
+        scene = generate_scene(SceneConfig(n_points=70, noise_sigma=sigma, seed=seed,
+                                           image_scale=100))
+        triangulate_points(*scene.cameras, scene.correspondences)
+        assert len(gaps) == 1 and gaps[0] < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_camera_used_twice(self, seed, sigma):
+        """Planes of rank 2 leave only rounding in the meets; every point of
+        the ray is exact, and the one the start picks images finitely."""
+        scene = generate_scene(SceneConfig(n_points=70, noise_sigma=sigma, seed=seed))
+        camera = scene.cameras[0]
+        image = scene.correspondences[:, :3]
+        X, r = triangulate_points(camera, camera, np.hstack([image, image]))
+        assert np.all(np.isfinite(X)) and np.max(np.abs(r)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_camera_used_twice_on_axis_planes(self):
+        """A camera whose slits run along the axes: image coordinates of 0
+        give planes that are exact unit vectors, and their meets round to
+        exact zeros, which the start must not divide by."""
+        camera = TwoSlitCamera(np.array([[1.0, 0, 0, 0], [0, 0, 1, 1]]),
+                               np.array([[0.0, 1, 0, 0], [0, 0, 1, -1]]))
+        g = np.arange(-2.0, 3.0)
+        grid = np.stack(np.meshgrid(g, g, [-3.0, 0.0, 2.0, 3.0]), axis=-1).reshape(-1, 3)
+        u = project_points(camera, np.hstack([grid, np.ones((len(grid), 1))]))
+        X, r = triangulate_points(camera, camera, np.hstack([u, u]))
+        assert np.all(np.isfinite(X)) and np.max(np.abs(r)) <= 1e-12
+
+
 def test_triangulation_factorizes_only_its_start(monkeypatch):
-    """One triangulate_points call on a noisy scene makes one SVD, that of
-    the starting planes, and no pseudo-inverse, however many passes its
+    """One triangulate_points call on a noisy scene makes no SVD, not even
+    for its start, and no pseudo-inverse, however many passes its
     Gauss-Newton refinement takes."""
     scene = generate_scene(SceneConfig(n_points=50, noise_sigma=1e-3, seed=2, image_scale=100))
     calls = {"svd": 0, "pinv": 0}
@@ -457,7 +502,7 @@ def test_triangulation_factorizes_only_its_start(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     _, R = triangulate_points(*scene.cameras, scene.correspondences)
-    assert calls == {"svd": 1, "pinv": 0}
+    assert calls == {"svd": 0, "pinv": 0}
     assert np.sqrt(np.mean(R ** 2)) < 1e-2
 
 
