@@ -74,7 +74,7 @@ def _check_rig(A):
 def _rig(A):
     """The cameras of an (n, 2, 2, 4) stack of (A1, A2) pairs, checked
     by one _check_rig call instead of one __post_init__ each; each
-    camera holds views into the stack."""
+    camera holds views into the stack. _stack is its inverse."""
     A = np.asarray(A, dtype=float)
     _check_rig(A)
     cams = []
@@ -84,6 +84,11 @@ def _rig(A):
         object.__setattr__(cam, "A2", A2)
         cams.append(cam)
     return cams
+
+
+def _stack(cameras):
+    """The rig layout every stage shares: a (k, 2, 2, 4) float copy."""
+    return np.array([(cam.A1, cam.A2) for cam in cameras], dtype=float).reshape(-1, 2, 2, 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,16 +116,17 @@ def cameras_equal(cam1, cam2, tol=TOL):
     return camera_distance(cam1, cam2) < tol
 
 
-def _images(camera, X):
-    """Images of the rows of a finite, nonzero (n, 4) point array, and
-    the mask of rows that have one. A row off the mask lies on a slit or
-    on the base line p2.x = q2.x = 0."""
-    a, b = (X @ camera.A1.T).T  # p1.x, p2.x
-    c, d = (X @ camera.A2.T).T  # q1.x, q2.x
-    u = np.stack([a * d, b * c, b * d], axis=1)
-    n1, n2 = np.linalg.norm(camera.A1), np.linalg.norm(camera.A2)
+def _images(R, X):
+    """Images of the rows of a finite, nonzero (n, 4) point array through
+    each camera of a (k, 2, 2, 4) rig, as a (k, n, 3) array, and the
+    (k, n) mask of images that exist, from one product for the rig. A
+    point off its camera's mask lies on a slit or on the base line
+    p2.x = q2.x = 0."""
+    a, b, c, d = (X @ R.reshape(-1, 4).T).T.reshape(-1, 4, len(X)).swapaxes(0, 1)
+    u = np.stack([a * d, b * c, b * d], axis=2)
+    n = np.linalg.norm(R, axis=(2, 3))
     nx = np.linalg.norm(X, axis=1)
-    return u, np.linalg.norm(u, axis=1) >= TOL * nx ** 2 * n1 * n2
+    return u, np.linalg.norm(u, axis=2) >= TOL * nx ** 2 * n[:, :1] * n[:, 1:]
 
 
 def project_points(camera, points):
@@ -134,7 +140,7 @@ def project_points(camera, points):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         if np.any(np.linalg.norm(X, axis=1) == 0.0):
             raise ValidationError("point is the zero vector, which has no projective meaning")
-        u, defined = _images(camera, X)
+        (u,), (defined,) = _images(_stack([camera]), X)
         if not np.all(np.isfinite(u)):
             raise ValidationError("image of the point overflows a float")
         if not np.all(defined):

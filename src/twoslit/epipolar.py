@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .cameras import _rig
+from .cameras import _rig, _stack
 from .projective import FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
 from .projective import negligible, pow2_scaled, scale_free_gap
 
@@ -91,11 +91,11 @@ def _levi_civita():
 _EPSILON = _levi_civita()
 
 
-def _row_products(camera):
-    """Row 2a+b is the flattened outer product of (-1)^a A1[1-a] and
-    (-1)^b A2[1-b]: the reversed row pairs, carrying the entry signs."""
-    a1, a2 = (A[::-1] * [[1.0], [-1.0]] for A in (camera.A1, camera.A2))
-    return (a1[:, None, :, None] * a2[None, :, None, :]).reshape(4, 16)
+def _row_products(R):
+    """(k, 4, 16) array of a rig: row 2a+b of a camera is the flattened
+    outer product of (-1)^a A1[1-a] and (-1)^b A2[1-b]."""
+    a = R[:, :, ::-1] * [[1.0], [-1.0]]
+    return (a[:, 0, :, None, :, None] * a[:, 1, None, :, None, :]).reshape(-1, 4, 16)
 
 
 def tensor_from_cameras(camA, camB):
@@ -105,7 +105,8 @@ def tensor_from_cameras(camA, camB):
     Each determinant is a signed sum of products of four entries, which
     keeps integer inputs exact; a factored elimination would round them.
     """
-    F = _row_products(camA) @ _EPSILON @ _row_products(camB).T
+    P, Q = _row_products(_stack((camA, camB)))
+    F = P @ _EPSILON @ Q.T
     return EpipolarTensor(F.reshape(2, 2, 2, 2))
 
 
@@ -379,11 +380,10 @@ def normal_form_transform(camA, camB):
     a recovered configuration onto the frame of the given cameras, so
     an exact recovery lands on the cameras themselves up to row scales.
     """
-    first = np.stack([camA.A1[0], camA.A2[0], camB.A1[0], camB.A2[0]])
+    first, second = _stack((camA, camB)).transpose(2, 0, 1, 3).reshape(2, 4, 4)
     s = np.linalg.svd(first, compute_uv=False)
     if s[-1] < ZERO_TOL * s[0]:
         raise DegeneracyError("the four leading camera rows are linearly dependent")
-    second = np.stack([camA.A1[1], camA.A2[1], camB.A1[1], camB.A2[1]])
     C0 = second @ np.linalg.inv(first)
     if np.min(np.abs(C0[0, 1:])) < ZERO_TOL * np.max(np.abs(C0)):
         raise DegeneracyError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DegeneracyError, TwoSlitError, ValidationError
-from .cameras import _rig, camera_distance
+from .cameras import _rig, _stack, camera_distance
 from .epipolar import (
     _as_correspondences,
     cameras_from_minor_matrix,
@@ -83,21 +83,22 @@ class SfmReport(_Report):
     error_kind: str = ""
 
 
-def _configuration_entry(minor, residual, tensor, correspondences, truth, W_inv):
-    camA, camB = cameras_from_minor_matrix(minor)
+def _configuration_entry(index, minor, residual, tensor, correspondences, truth, W_inv):
+    try:
+        camA, camB = cameras_from_minor_matrix(minor)
+    except ValidationError as exc:  # the recovery built these matrices, not the input
+        raise DegeneracyError(f"recovered configuration {index} fails the camera check: {exc}")
+    R = _stack((camA, camB))
     entry = {
         "minor_matrix": minor.matrix.tolist(),
         "recovery_residual": float(residual),
-        "cameras": {
-            "A1": camA.A1.tolist(), "A2": camA.A2.tolist(),
-            "B1": camB.A1.tolist(), "B2": camB.A2.tolist(),
-        },
+        "cameras": dict(zip(("A1", "A2", "B1", "B2"), R.reshape(4, 2, 4).tolist())),
         "tensor_gap": tensor_gap(tensor_from_cameras(camA, camB), tensor),
         "camera_gap": None,
     }
     if truth is not None:
         # judge the configuration in the ground-truth frame, as one rig
-        camA, camB = _rig(np.array([(camA.A1, camA.A2), (camB.A1, camB.A2)]) @ W_inv)
+        camA, camB = _rig(R @ W_inv)
         entry["camera_gap"] = max(camera_distance(camA, truth[0]),
                                   camera_distance(camB, truth[1]))
     entry["reprojection_rms"] = reprojection_rms(camA, camB, correspondences)
@@ -115,9 +116,9 @@ def run_sfm_pipeline(corr, report, truth=None):
         {"matrix": m.matrix.tolist(), "residual": float(r)} for m, r in candidates]
     # W is invertible: normal_form_transform rejects dependent first rows
     W_inv = np.linalg.inv(normal_form_transform(*truth)) if truth is not None else None
-    for minor, residual in candidates[:2]:
+    for index, (minor, residual) in enumerate(candidates[:2]):
         report.configurations.append(
-            _configuration_entry(minor, residual, tensor, corr, truth, W_inv))
+            _configuration_entry(index, minor, residual, tensor, corr, truth, W_inv))
     if truth is not None and report.configurations:
         report.equivalent_configuration = int(np.argmin(
             [c["camera_gap"] for c in report.configurations]))
@@ -209,7 +210,7 @@ def run_selfcal_experiment(config=SelfcalConfig()):
         report.magnifications_true = [
             (float(K1[0, 0]), float(K2[0, 0])) for K1, K2 in cals]
 
-        A = np.array([(cam.A1, cam.A2) for cam in cams]) @ np.linalg.inv(Q)
+        A = _stack(cams) @ np.linalg.inv(Q)
         A = A / np.linalg.norm(A, axis=(2, 3), keepdims=True)
         A = A + rng.normal(0.0, config.noise_sigma, A.shape)
         noisy = _rig(A)

@@ -41,7 +41,7 @@ def as_vector(x, size, name="vector"):
         raise ValidationError(f"{name} must have {size} entries, got shape {np.shape(x)}")
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} has non-finite entries")
-    if np.linalg.norm(v) == 0.0:
+    if not v.any():
         raise ValidationError(f"{name} is the zero vector, which has no projective meaning")
     return v
 
@@ -69,6 +69,22 @@ def pow2_scaled(a, axis=None):
     return np.ldexp(a, -np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1])
 
 
+def _split(v):
+    """(v / 2^e, e), where e puts the largest absolute entry of v / 2^e
+    in [0.5, 1): the exact division of pow2_scaled."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -e), e
+
+
+def _unsplit(out, e):
+    """out times 2^e, where every nonzero entry stays a normal float, as
+    it does for operands of ordinary size: exact, so a join or meet of
+    _split operands keeps the bits of the unscaled one. out itself
+    otherwise; the result counts only up to scale."""
+    p = np.frexp(out[out != 0])[1] + e
+    return np.ldexp(out, e) if p.max() <= 1024 and p.min() >= -1021 else out
+
+
 def scale_free_gap(a, b):
     """Largest entry difference of two nonzero arrays at unit Frobenius
     norm, minimized over both signs; 0 when they agree up to scale."""
@@ -91,12 +107,11 @@ def join_points(x, y):
     ndarray, shape (6,)
         (l41, l42, l43, l23, l31, l12) with l_ij = x_i y_j - x_j y_i.
     """
-    x = as_vector(x, 4, "point")
-    y = as_vector(y, 4, "point")
+    (x, ex), (y, ey) = _split(as_vector(x, 4, "point")), _split(as_vector(y, 4, "point"))
     if proj_equal(x, y):
         raise ValidationError("coincident points do not span a line")
     L = np.outer(x, y) - np.outer(y, x)
-    return line_from_primal(L)
+    return _unsplit(line_from_primal(L), ex + ey)
 
 
 def line_from_primal(L):
@@ -168,33 +183,30 @@ def line_in_plane(l, w, tol=TOL):
 
 def meet_line_plane(l, w):
     """Intersection point of a line with a plane not containing it."""
-    l = as_vector(l, 6, "line")
-    w = as_vector(w, 4, "plane")
+    (l, el), (w, ew) = _split(as_vector(l, 6, "line")), _split(as_vector(w, 4, "plane"))
     p = primal_matrix(l) @ w
     if negligible(p, np.linalg.norm(l) * np.linalg.norm(w)):
         raise ValidationError("line lies in the plane; their meet is not a point")
-    return p
+    return _unsplit(p, el + ew)
 
 
 def join_line_point(l, z):
     """Plane spanned by a line and a point not on it."""
-    l = as_vector(l, 6, "line")
-    z = as_vector(z, 4, "point")
+    (l, el), (z, ez) = _split(as_vector(l, 6, "line")), _split(as_vector(z, 4, "point"))
     w = dual_matrix(l) @ z
     if negligible(w, np.linalg.norm(l) * np.linalg.norm(z)):
         raise ValidationError("point lies on the line; their join is not a plane")
-    return w
+    return _unsplit(w, el + ez)
 
 
 def plane_meet_plane(u, v):
     """Plucker coordinates of the line where two distinct planes intersect."""
-    u = as_vector(u, 4, "plane")
-    v = as_vector(v, 4, "plane")
+    (u, eu), (v, ev) = _split(as_vector(u, 4, "plane")), _split(as_vector(v, 4, "plane"))
     if proj_equal(u, v):
         raise ValidationError("coincident planes do not meet in a line")
     # u v^T - v u^T is the *dual* matrix of the intersection line.
     M = np.outer(u, v) - np.outer(v, u)
-    return line_star(line_from_primal(M))
+    return _unsplit(line_star(line_from_primal(M)), eu + ev)
 
 
 @dataclass(frozen=True, eq=False)

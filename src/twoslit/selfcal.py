@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .cameras import _rq_2x3
+from .cameras import _rq_2x3, _stack
 from .projective import TINY, TOL, ZERO_TOL
 
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
@@ -65,11 +65,10 @@ def estimate_daq(cameras):
     to scale). Raises DegeneracyError when the equations leave more
     than a one-dimensional solution space (degenerate motion).
     """
-    cameras = list(cameras)
-    if len(cameras) < 5:
-        raise ValidationError(
-            f"need at least 5 cameras for self-calibration, got {len(cameras)}")
-    A = np.array([(cam.A1, cam.A2) for cam in cameras]).reshape(-1, 2, 4)
+    R = _stack(cameras)
+    if len(R) < 5:
+        raise ValidationError(f"need at least 5 cameras for self-calibration, got {len(R)}")
+    A = R.reshape(-1, 2, 4)
     A = A / np.linalg.norm(A, axis=(1, 2), keepdims=True)
     # (A M A^T)[0, 1] = sum over a <= b of M[a, b] (P[a, b] + P[b, a]), P[a, a] once
     P = A[:, 0, :, None] * A[:, 1, None, :]
@@ -120,7 +119,7 @@ def extract_upgrade(daq, cameras):
     q_prime = np.column_stack([V[:, 0] * scales[0], V[:, 1] * scales[1],
                                V[:, 2] * scales[2], V[:, 3]])
 
-    U = np.array([(cam.A1, cam.A2) for cam in cameras]).reshape(-1, 2, 2, 4) @ q_prime
+    U = _stack(cameras) @ q_prime
     K, _, _ = _rq_2x3(U[..., :3])
     rows = np.linalg.norm(U[..., :3], axis=-1)
     return UpgradeResult(

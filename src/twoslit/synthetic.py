@@ -13,7 +13,7 @@ import numpy as np
 
 from . import golden
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, _images, _rig, project_points
+from .cameras import TwoSlitCamera, _images, _rig, _stack, project_points
 from .epipolar import _EPSILON, _as_correspondences, _factors
 from .io import _field
 from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector, pow2_scaled
@@ -99,8 +99,9 @@ def _rescale_to_image(camera, points, target_rms):
     inhom = us[:, :2] / us[:, 2:3]
     rms = np.sqrt(np.mean(inhom ** 2, axis=0))
     scales = np.where(rms > ZERO_TOL, target_rms / np.maximum(rms, ZERO_TOL), 1.0)
-    return TwoSlitCamera(np.stack([camera.A1[0] * scales[0], camera.A1[1]]),
-                         np.stack([camera.A2[0] * scales[1], camera.A2[1]]))
+    R = _stack([camera])
+    R[0, :, 0] *= scales[:, None]
+    return _rig(R)[0]
 
 
 def generate_scene(config=SceneConfig(), cameras=None):
@@ -114,7 +115,7 @@ def generate_scene(config=SceneConfig(), cameras=None):
     """
     n, seed = _check_scene(config)
     rng = np.random.default_rng(seed)
-    camA, camB = cameras if cameras is not None else default_camera_pair()
+    R = _stack(cameras if cameras is not None else default_camera_pair())
 
     # Each batch is at most the number of points still needed, so every
     # draw is one the candidate-at-a-time loop would make too, and the
@@ -129,16 +130,13 @@ def generate_scene(config=SceneConfig(), cameras=None):
         m = min(n - kept, budget - drawn)
         x = np.hstack([rng.uniform(-h, h, (m, 3)), np.ones((m, 1))])
         drawn += m
-        ok = np.ones(m, bool)
-        for camera in (camA, camB):
-            u, defined = _images(camera, x)
-            ok &= defined & (np.abs(u[:, 2]) >= COARSE_TOL * np.linalg.norm(u, axis=1))
+        u, defined = _images(R, x)
+        ok = (defined & (np.abs(u[..., 2]) >= COARSE_TOL * np.linalg.norm(u, axis=2))).all(0)
         batches.append(x[ok])
         kept += int(ok.sum())
     points = np.vstack(batches)
 
-    camA = _rescale_to_image(camA, points, config.image_scale)
-    camB = _rescale_to_image(camB, points, config.image_scale)
+    camA, camB = (_rescale_to_image(cam, points, config.image_scale) for cam in _rig(R))
 
     ua = project_points(camA, points)
     ub = project_points(camB, points)
@@ -241,8 +239,7 @@ def triangulate_points(camA, camB, correspondences):
     z, w = zw.transpose(2, 1, 0)
     if np.any(np.abs(w) <= ROUNDOFF * np.abs(z)):
         raise DegeneracyError("a measured image point lies at infinity")
-    N = np.stack([camA.A1[0], camA.A2[0], camB.A1[0], camB.A2[0]])
-    D = np.stack([camA.A1[1], camA.A2[1], camB.A1[1], camB.A2[1]])
+    N, D = _stack((camA, camB)).transpose(2, 0, 1, 3).reshape(2, 4, 4)
     planes = w[..., None] * N - z[..., None] * D
     planes /= np.linalg.norm(planes, axis=2, keepdims=True)
     x = _start_points(planes, D[:2])

@@ -5,7 +5,9 @@ import pytest
 
 from twoslit.cameras import (
     TwoSlitCamera,
+    _images,
     _rig,
+    _stack,
     apply_space_transform,
     base_line,
     camera_distance,
@@ -431,6 +433,33 @@ def test_rig_check_takes_stacks_only():
     assert _rig(np.zeros((0, 2, 2, 4))) == []
     with pytest.raises(ValidationError, match=r"\(n, 2, 2, 4\)"):
         _rig(np.zeros((3, 2, 4)))
+
+
+def null_points(M, rng, count):
+    """count random points of the null space of M's rows."""
+    return rng.normal(size=(count, 4 - len(M))) @ np.linalg.svd(M)[2][len(M):]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_rig_images_match_each_camera(k):
+    """_images of a rig gives each camera's project_points, bit for bit,
+    and no image exactly where project_points raises: on a slit or on
+    the base line of that camera. _stack undoes _rig bit for bit."""
+    rng = np.random.default_rng(500 + k)
+    A = rng.normal(size=(k, 2, 2, 4)) * 10 ** rng.uniform(-6, 6, (k, 2, 1, 1))
+    cams = _rig(A)
+    assert np.array_equal(_stack(cams), A)
+    X = np.vstack([rng.normal(size=(40, 4))]
+                  + [null_points(M, rng, 3) for cam in cams for M in (cam.A1, cam.A2)]
+                  + [null_points(A[i, :, 1], rng, 3) for i in range(k)])
+    u, defined = _images(_stack(cams), X)
+    assert u.shape == (k, len(X), 3) and defined.shape == (k, len(X))
+    for cam, ui, ok in zip(cams, u, defined):
+        assert np.array_equal(project_points(cam, X[ok]), ui[ok])
+        assert ok.sum() == len(X) - 9
+        for x in X[~ok]:
+            with pytest.raises(ValidationError, match="slit|base line"):
+                project_points(cam, x[None])
 
 
 @pytest.mark.filterwarnings("error")

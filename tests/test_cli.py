@@ -522,3 +522,14 @@ def test_negative_seed_is_invalid(capsys, command):
     assert code == 2
     assert err.startswith("error:") and "seed" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sfm_on_valid_input_with_failing_recovered_cameras_exits_3(
+        capsys, tmp_path, seed, near_gauge_offset):
+    corr = tmp_path / "c.csv"
+    tsio.write_correspondences(near_gauge_offset(seed), corr, fmt="csv")
+    code, out, err = run(capsys, "sfm", "--in", str(corr))
+    assert code == 3
+    assert "recovered configuration" in err
+    assert json.loads(out)["error_kind"] == "degeneracy"

@@ -379,3 +379,14 @@ def test_given_correspondences_still_check_every_config_field(field, value, mess
     corr = generate_scene(SceneConfig(n_points=20, seed=1)).correspondences
     with pytest.raises(ValidationError, match=message):
         run_sfm_experiment(SceneConfig(**{field: value}), correspondences=corr)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_recovered_cameras_failing_the_camera_check_are_a_degeneracy(seed, near_gauge_offset):
+    """Cameras the recovery builds from valid correspondences can fail the
+    camera check; the report files that as a degeneracy naming the
+    configuration, not as invalid input."""
+    report = run_sfm_experiment(correspondences=near_gauge_offset(seed))
+    assert not report.ok
+    assert report.error_kind == "degeneracy"
+    assert report.error.startswith("recovered configuration 0 fails the camera check: ")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twoslit.errors import ValidationError
 from twoslit.projective import (
     RetinalFrame,
+    as_vector,
     dual_matrix,
     join_line_point,
     join_points,
@@ -22,6 +23,7 @@ from twoslit.projective import (
     primal_matrix,
     proj_equal,
     quadric_residual,
+    scale_free_gap,
     validate_line,
 )
 
@@ -183,3 +185,32 @@ def test_line_to_image_map_unit_frame_golden():
         [0.0, 0, 1, 0, 0, 0],
     ])
     assert np.max(np.abs(N - expected)) < 1e-12
+
+
+def scaled_joins_and_meets(a, b):
+    """join_points, plane_meet_plane, meet_line_plane and join_line_point,
+    each on two fixed operands, the first times a and the second times b."""
+    x, y, w = np.array([1.0, 2, 3, 4]), np.array([0.0, 1, -1, 2]), np.array([2.0, -1, 0, 1])
+    line = join_points(x, y)
+    return [f(a * u, b * v) for f, u, v in ((join_points, x, y), (plane_meet_plane, x, y),
+                                            (meet_line_plane, line, w), (join_line_point, line, w))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-300, 301, 25)])
+def test_joins_and_meets_hold_across_the_float_range(scale):
+    """Operands of any size a float holds are not zero, and their joins and
+    meets are finite and nonzero, agree up to scale with those of unit
+    operands and raise no warning."""
+    assert as_vector([scale, 0.0, 0.0, 0.0], 4)[0] == scale
+    for out, ref in zip(scaled_joins_and_meets(scale, scale), scaled_joins_and_meets(1.0, 1.0)):
+        assert np.all(np.isfinite(out)) and out.any()
+        assert scale_free_gap(out, ref) < 1e-15
+
+
+@pytest.mark.parametrize("k", [-500, -260, -1, 0, 7, 260, 500])
+def test_joins_and_meets_of_ordinary_operands_keep_their_bits(k):
+    """Where the result is a normal float, operands scaled by 2^k give the
+    unit operands' result times 2^k, bit for bit: no rescaling shows."""
+    for out, ref in zip(scaled_joins_and_meets(2.0 ** k, 1.0), scaled_joins_and_meets(1.0, 1.0)):
+        assert np.array_equal(out, np.ldexp(ref, k))
