@@ -30,12 +30,12 @@ from .selfcal import DualAbsoluteQuadric, estimate_daq, extract_upgrade, similar
 from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
+    _calibrated_rig,
     _check_range,
     _check_scene,
     _count,
     _seed,
     generate_scene,
-    random_calibrated_cameras,
     reprojection_rms,
 )
 
@@ -195,8 +195,7 @@ def run_selfcal_experiment(config=SelfcalConfig()):
     try:
         if n < 1:
             raise ValidationError("need a positive number of cameras")
-        cams, cals = random_calibrated_cameras(
-            n, rng, first=config.first_camera_magnifications)
+        R, K = _calibrated_rig(n, rng, first=config.first_camera_magnifications)
         if config.q_matrix is None:
             Q = rng.normal(size=(4, 4))
             while abs(np.linalg.det(Q)) < 0.1:
@@ -207,10 +206,9 @@ def run_selfcal_experiment(config=SelfcalConfig()):
                     or abs(np.linalg.det(Q)) < MIN_Q_DET):
                 raise ValidationError("q_matrix must be an invertible 4x4 matrix")
         report.q_true = Q.tolist()
-        report.magnifications_true = [
-            (float(K1[0, 0]), float(K2[0, 0])) for K1, K2 in cals]
+        report.magnifications_true = [(float(f1), float(f2)) for f1, f2 in K[:, :, 0, 0]]
 
-        A = _stack(cams) @ np.linalg.inv(Q)
+        A = R @ np.linalg.inv(Q)  # checked once, with its noise, by _rig below
         A = A / np.linalg.norm(A, axis=(2, 3), keepdims=True)
         A = A + rng.normal(0.0, config.noise_sigma, A.shape)
         noisy = _rig(A)

@@ -48,8 +48,8 @@ def as_vector(x, size, name="vector"):
 
 def cosine_distance(a, b):
     """1 - |cos angle| between two vectors; 0 means projectively equal."""
-    a = np.asarray(a, float).reshape(-1)
-    b = np.asarray(b, float).reshape(-1)
+    a = pow2_scaled(np.asarray(a, float).reshape(-1))  # so that no norm overflows or underflows
+    b = pow2_scaled(np.asarray(b, float).reshape(-1))
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return 1.0
@@ -144,7 +144,7 @@ def dual_matrix(l):
 
 def quadric_residual(l):
     """Scale-free residual of the quadric constraint; ~0 for genuine lines."""
-    l = as_vector(l, 6, "line")
+    l = pow2_scaled(as_vector(l, 6, "line"))
     n = float(l @ l)
     return abs(float(l @ line_star(l))) / n
 
@@ -164,20 +164,19 @@ def plucker_pairing(l, m):
 
 
 def lines_meet(l, m, tol=TOL):
+    l, m = pow2_scaled(as_vector(l, 6, "line")), pow2_scaled(as_vector(m, 6, "line"))
     return negligible(plucker_pairing(l, m), np.linalg.norm(l) * np.linalg.norm(m), tol)
 
 
 def point_on_line(l, x, tol=TOL):
     """True when x is incident with l (the join degenerates)."""
-    l = as_vector(l, 6, "line")
-    x = as_vector(x, 4, "point")
+    l, x = pow2_scaled(as_vector(l, 6, "line")), pow2_scaled(as_vector(x, 4, "point"))
     return negligible(dual_matrix(l) @ x, np.linalg.norm(l) * np.linalg.norm(x), tol)
 
 
 def line_in_plane(l, w, tol=TOL):
     """True when every point of l lies on the plane w."""
-    l = as_vector(l, 6, "line")
-    w = as_vector(w, 4, "plane")
+    l, w = pow2_scaled(as_vector(l, 6, "line")), pow2_scaled(as_vector(w, 4, "plane"))
     return negligible(primal_matrix(l) @ w, np.linalg.norm(l) * np.linalg.norm(w), tol)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import golden
 from .errors import DegeneracyError, ValidationError
-from .cameras import TwoSlitCamera, _images, _rig, _stack, project_points
+from .cameras import TwoSlitCamera, _images, _rig, _stack
 from .epipolar import _EPSILON, _as_correspondences, _factors
 from .io import _field
 from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector, pow2_scaled
@@ -52,6 +52,14 @@ def euclidean_transform(rotation=None, translation=None):
     return H
 
 
+# default_camera_pair as a read-only rig: one device, then the device moved
+_DEFAULT_RIG = np.array(2 * [[[[0.0, 1, 0, 0], [0, 0, 1, -8]], [[1.0, 0, 0, 0], [0, 0, 1, 8]]]])
+_DEFAULT_RIG[1] = _DEFAULT_RIG[1] @ np.linalg.inv(euclidean_transform(
+    rotation_about_axis([0, 1, 0], 0.6) @ rotation_about_axis([1, 0, 0], 0.35),
+    [1.5, -2.0, 0.8]))
+_DEFAULT_RIG.flags.writeable = False
+
+
 def default_camera_pair():
     """A well-conditioned rig for the default sampling box.
 
@@ -60,11 +68,7 @@ def default_camera_pair():
     is seen under a healthy crossing angle; the second camera is the
     same device rotated and shifted.
     """
-    A = np.array([[[0.0, 1, 0, 0], [0, 0, 1, -8]], [[1.0, 0, 0, 0], [0, 0, 1, 8]]])
-    motion = euclidean_transform(
-        rotation_about_axis([0, 1, 0], 0.6) @ rotation_about_axis([1, 0, 0], 0.35),
-        [1.5, -2.0, 0.8])
-    camA, camB = _rig(np.stack([A, A @ np.linalg.inv(motion)]))
+    camA, camB = _rig(_DEFAULT_RIG.copy())
     return camA, camB
 
 
@@ -88,20 +92,10 @@ class SyntheticScene:
     clean_correspondences: np.ndarray
 
 
-def _rescale_to_image(camera, points, target_rms):
-    """Scale the first row of each pair so both image coordinates have
-    the requested RMS magnitude over the sample.
-
-    The first image coordinate is the row ratio of the first matrix and
-    the second that of the second matrix, so the two scales are
-    independent."""
-    us = project_points(camera, points)
-    inhom = us[:, :2] / us[:, 2:3]
-    rms = np.sqrt(np.mean(inhom ** 2, axis=0))
-    scales = np.where(rms > ZERO_TOL, target_rms / np.maximum(rms, ZERO_TOL), 1.0)
-    R = _stack([camera])
-    R[0, :, 0] *= scales[:, None]
-    return _rig(R)[0]
+def _unit_images(R, X):
+    """_images of each matrix and each point divided by a power of two:
+    the same mask and image ratios, bit for bit, and no overflow."""
+    return _images(pow2_scaled(R, axis=(2, 3)), pow2_scaled(X, axis=1))
 
 
 def generate_scene(config=SceneConfig(), cameras=None):
@@ -115,7 +109,9 @@ def generate_scene(config=SceneConfig(), cameras=None):
     """
     n, seed = _check_scene(config)
     rng = np.random.default_rng(seed)
-    R = _stack(cameras if cameras is not None else default_camera_pair())
+    R = _DEFAULT_RIG.copy() if cameras is None else _stack(cameras)
+    if len(R) != 2:
+        raise ValidationError(f"cameras must be a pair, got {len(R)} cameras")
 
     # Each batch is at most the number of points still needed, so every
     # draw is one the candidate-at-a-time loop would make too, and the
@@ -130,22 +126,32 @@ def generate_scene(config=SceneConfig(), cameras=None):
         m = min(n - kept, budget - drawn)
         x = np.hstack([rng.uniform(-h, h, (m, 3)), np.ones((m, 1))])
         drawn += m
-        u, defined = _images(R, x)
+        u, defined = _unit_images(R, x)
         ok = (defined & (np.abs(u[..., 2]) >= COARSE_TOL * np.linalg.norm(u, axis=2))).all(0)
         batches.append(x[ok])
         kept += int(ok.sum())
     points = np.vstack(batches)
 
-    camA, camB = (_rescale_to_image(cam, points, config.image_scale) for cam in _rig(R))
-
-    ua = project_points(camA, points)
-    ub = project_points(camB, points)
-    clean = np.hstack([ua / ua[:, 2:], ub / ub[:, 2:]])
+    # the image coordinates are row ratios of A1 and of A2: scale the first rows
+    u = _unit_images(R, points)[0]
+    rms = np.sqrt(np.mean((u[..., :2] / u[..., 2:]) ** 2, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the camera check catches it
+        scales = np.where(rms > ZERO_TOL, config.image_scale / np.maximum(rms, ZERO_TOL), 1.0)
+        R[:, :, 0] *= scales[..., None]
+    try:
+        camA, camB = _rig(R)
+    except ValidationError:
+        raise ValidationError(f"image_scale {config.image_scale} at box_halfwidth {h}: the "
+                              "rescaled cameras fail the camera check") from None
+    u = _unit_images(R, points)[0]
+    clean = (u / u[..., 2:]).transpose(1, 0, 2).reshape(n, 6)
 
     noisy = clean.copy()
     if config.noise_sigma > 0:
         noisy[:, :2] += rng.normal(0.0, config.noise_sigma, (n, 2))
         noisy[:, 3:5] += rng.normal(0.0, config.noise_sigma, (n, 2))
+        if not np.all(np.isfinite(noisy)):  # a draw overflowed
+            raise ValidationError(f"noise_sigma {config.noise_sigma} overflows the images")
 
     return SyntheticScene(
         points=points,
@@ -368,17 +374,14 @@ def _check_scene(config):
     _check_range(config.noise_sigma, "noise sigma")
     for name in ("box_halfwidth", "image_scale"):
         _check_range(getattr(config, name), name, positive=True)
+    if config.box_halfwidth > np.finfo(float).max / 2:  # the box is 2 h wide
+        raise ValidationError(f"box_halfwidth {config.box_halfwidth} exceeds half the float range")
     return n, _seed(config.seed)
 
 
-def random_calibrated_cameras(n, rng, first=None):
-    """Centered parallel cameras with log-uniform magnifications.
-
-    Returns (cameras, calibrations); `first` optionally pins the two
-    magnifications of the first camera. The draws run camera by camera,
-    so a seeded rig stays the same for every n; the rig is then built
-    and checked as one array.
-    """
+def _calibrated_rig(n, rng, first=None):
+    """The (n, 2, 2, 4) rig of random_calibrated_cameras, not yet
+    checked, and its (n, 2, 2, 2) intrinsics, from the same draws."""
     n = _count(n, "n_cameras")
     if n < 0:
         raise ValidationError(f"n_cameras cannot be negative, got {n}")
@@ -406,5 +409,16 @@ def random_calibrated_cameras(n, rng, first=None):
     K = np.zeros((n, 2, 2, 2))
     K[:, :, 0, 0] = f
     K[:, :, 1, 1] = 1.0
-    cams = _rig(_parallel_rig(K, _rotations(M), theta, t))
-    return cams, [tuple(Ks) for Ks in K]
+    return _parallel_rig(K, _rotations(M), theta, t), K
+
+
+def random_calibrated_cameras(n, rng, first=None):
+    """Centered parallel cameras with log-uniform magnifications.
+
+    Returns (cameras, calibrations); `first` optionally pins the two
+    magnifications of the first camera. The draws run camera by camera,
+    so a seeded rig stays the same for every n (_calibrated_rig); the
+    rig is then checked as one array.
+    """
+    R, K = _calibrated_rig(n, rng, first)
+    return _rig(R), [tuple(Ks) for Ks in K]

@@ -30,3 +30,17 @@ def near_gauge_offset():
         return corr
 
     return make
+
+
+@pytest.fixture
+def rig_checks(monkeypatch):
+    """The sizes of the rigs that cameras._check_rig checks from now on,
+    one entry per call."""
+    from twoslit.cameras import _check_rig
+    calls = []
+
+    def counting(A):
+        calls.append(len(A))
+        return _check_rig(A)
+    monkeypatch.setattr("twoslit.cameras._check_rig", counting)
+    return calls

@@ -264,6 +264,18 @@ def test_numpy_integer_camera_count_gives_the_int_report():
         run_selfcal_experiment(SelfcalConfig(n_cameras=7, seed=3)).to_dict())
 
 
+def test_runs_check_each_rig_once(rig_checks):
+    """A scene's rig, each recovered configuration and its move into the
+    truth frame, and a self-calibration rig with its noise: one camera
+    check each."""
+    assert run_sfm_experiment(SceneConfig(n_points=70, noise_sigma=0, seed=1,
+                                          image_scale=100)).ok
+    assert rig_checks == [2] * 5
+    rig_checks.clear()
+    assert run_selfcal_experiment(SelfcalConfig(n_cameras=200, seed=1)).ok
+    assert rig_checks == [200]
+
+
 def test_selfcal_factorizations_do_not_grow_with_the_rig(monkeypatch):
     """A rig is built and checked as one array: run_selfcal_experiment makes
     as many SVDs for 200 cameras as for 10."""

@@ -9,6 +9,7 @@ from twoslit.errors import ValidationError
 from twoslit.projective import (
     RetinalFrame,
     as_vector,
+    cosine_distance,
     dual_matrix,
     join_line_point,
     join_points,
@@ -214,3 +215,30 @@ def test_joins_and_meets_of_ordinary_operands_keep_their_bits(k):
     unit operands' result times 2^k, bit for bit: no rescaling shows."""
     for out, ref in zip(scaled_joins_and_meets(2.0 ** k, 1.0), scaled_joins_and_meets(1.0, 1.0)):
         assert np.array_equal(out, np.ldexp(ref, k))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-300, 301, 25)])
+def test_predicates_hold_across_the_float_range(scale):
+    """Incidence, equality and the quadric residual answer as for unit
+    operands at any size a float holds, with no warning."""
+    e1, e2 = np.eye(4)[:2]
+    l = join_points(e1, e2) * scale
+    on, off = np.array([1.0, 1, 0, 0]) * scale, np.array([0.0, 1, 1, 0]) * scale
+    assert point_on_line(l, on) and not point_on_line(l, off)
+    assert line_in_plane(l, np.eye(4)[2] * scale) and not line_in_plane(l, on)
+    assert lines_meet(l, l) and lines_meet(l, join_points(e1, [0.0, 0, 1, 0]) * scale)
+    assert not lines_meet(l, join_points([0.0, 0, 1, 0], [0.0, 0, 0, 1]) * scale)
+    assert proj_equal(on, on) and not proj_equal(on, off)
+    assert quadric_residual(l) == 0.0
+    assert 0.2 < quadric_residual(l + scale * np.array([0.0, 0, 1, 0, 0, 1])) < 1
+
+
+@pytest.mark.parametrize("k", [-500, -260, -1, 0, 7, 260, 500])
+def test_predicate_values_of_ordinary_operands_keep_their_bits(k, rng):
+    """Operands scaled by 2^k give the unit operands' distance and
+    residual bit for bit."""
+    a, b, l = rng.normal(size=4), rng.normal(size=4), rng.normal(size=6)
+    s = 2.0 ** k
+    assert cosine_distance(a * s, b * s) == cosine_distance(a, b)
+    assert quadric_residual(l * s) == quadric_residual(l)

@@ -22,7 +22,6 @@ from twoslit.synthetic import (
     MAGNIFICATION_RANGE,
     RNG_ALGORITHM,
     SceneConfig,
-    _rescale_to_image,
     default_camera_pair,
     euclidean_transform,
     generate_scene,
@@ -93,12 +92,13 @@ class TestSceneGeneration:
         assert np.max(np.abs(scene.points[:, :3])) <= 3.0
 
     def test_images_hit_requested_scale(self):
-        config = SceneConfig(n_points=50, seed=3, image_scale=100.0)
-        scene = generate_scene(config)
-        clean = scene.clean_correspondences
-        for col in (0, 1, 3, 4):
-            assert np.isclose(np.sqrt(np.mean(clean[:, col] ** 2)), 100.0,
-                              rtol=1e-9)
+        for image_scale in (100.0, 1e8):
+            config = SceneConfig(n_points=50, seed=3, image_scale=image_scale)
+            scene = generate_scene(config)
+            clean = scene.clean_correspondences
+            for col in (0, 1, 3, 4):
+                assert np.isclose(np.sqrt(np.mean(clean[:, col] ** 2)), image_scale,
+                                  rtol=1e-9)
 
     def test_correspondences_match_cameras_and_points(self):
         scene = generate_scene(SceneConfig(n_points=15, seed=4))
@@ -520,6 +520,16 @@ def test_numpy_integer_point_count_is_valid():
     assert scene.correspondences.shape == (9, 6)
 
 
+def scalar_rescale(camera, points, target_rms):
+    """The first row of each matrix scaled so that both image coordinates
+    have the requested RMS magnitude over the sample, one camera at a time."""
+    us = project_points(camera, points)
+    inhom = us[:, :2] / us[:, 2:3]
+    rms = np.sqrt(np.mean(inhom ** 2, axis=0))
+    scales = np.where(rms > ZERO_TOL, target_rms / np.maximum(rms, ZERO_TOL), 1.0)
+    return TwoSlitCamera(camera.A1 * [[scales[0]], [1.0]], camera.A2 * [[scales[1]], [1.0]])
+
+
 def scalar_scene(config, cameras=None):
     """generate_scene as it was written before batching: one candidate
     point at a time, two scalar projections each."""
@@ -541,8 +551,8 @@ def scalar_scene(config, cameras=None):
             continue
         pts.append(x)
     points = np.stack(pts)
-    camA = _rescale_to_image(camA, points, config.image_scale)
-    camB = _rescale_to_image(camB, points, config.image_scale)
+    camA = scalar_rescale(camA, points, config.image_scale)
+    camB = scalar_rescale(camB, points, config.image_scale)
     ua = project_points(camA, points)
     ub = project_points(camB, points)
     clean = np.hstack([ua / ua[:, 2:], ub / ub[:, 2:]])
@@ -676,3 +686,69 @@ def test_default_pair_is_the_fixed_camera_and_its_moved_copy():
     assert np.array_equal(camA.A1, [[0.0, 1, 0, 0], [0, 0, 1, -8]])
     assert np.array_equal(camA.A2, [[1.0, 0, 0, 0], [0, 0, 1, 8]])
     assert np.array_equal(camB.A1, moved.A1) and np.array_equal(camB.A2, moved.A2)
+
+
+def test_default_pairs_are_independent():
+    camA, camB = default_camera_pair()
+    again = default_camera_pair()
+    camA.A1[0, 0] = 7.0
+    assert again[0].A1[0, 0] == 0.0
+    assert not np.shares_memory(camB.A1, again[1].A1)
+    assert generate_scene(SceneConfig(n_points=5)).cameras[0].A1[1, 3] == -8.0
+
+
+def test_a_scene_checks_its_rig_once(rig_checks):
+    pair = reference_camera_pair()
+    rig_checks.clear()
+    generate_scene(SceneConfig(n_points=70, seed=1))
+    generate_scene(SceneConfig(n_points=70, seed=1), cameras=pair)
+    assert rig_checks == [2, 2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("box_halfwidth", [1e100, 1e150, 1e300, 2.0 ** 1022])
+def test_a_box_of_any_float_size_gives_a_finite_scene(box_halfwidth):
+    """Points count only up to scale: the sampler and the images see them
+    divided by powers of two, so no image overflows."""
+    scene = generate_scene(SceneConfig(n_points=40, seed=2, box_halfwidth=box_halfwidth))
+    assert np.all(np.isfinite(scene.correspondences))
+    assert np.max(np.abs(scene.points[:, :3])) <= box_halfwidth
+    for col in (0, 1, 3, 4):
+        assert np.isclose(np.sqrt(np.mean(scene.clean_correspondences[:, col] ** 2)), 50.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value", [
+    ("box_halfwidth", 1e308),  # the box 2 h wide is no float
+    ("image_scale", 1e9),  # the rescaled camera fails the check
+    ("image_scale", 1e-9),
+    ("image_scale", 1e300),  # the row scales overflow
+    ("noise_sigma", 1e308),  # the noise overflows
+])
+def test_a_finite_config_out_of_range_names_its_field(field, value):
+    with pytest.raises(ValidationError, match=field):
+        generate_scene(SceneConfig(n_points=30, seed=1, **{field: value}))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_scene_needs_a_pair_of_cameras(count):
+    camA, camB = default_camera_pair()
+    with pytest.raises(ValidationError, match="cameras must be a pair"):
+        generate_scene(SceneConfig(n_points=5), cameras=(camA, camB, camA)[:count])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-600, -1, 3, 600])
+def test_cameras_scaled_by_powers_of_two_give_the_same_scene(k):
+    """Each camera matrix counts only up to scale: matrices times 2^k, up
+    to 2^+-600, give the same points and images bit for bit, and the
+    rescaled cameras times 2^k."""
+    config = SceneConfig(n_points=30, noise_sigma=1e-4, seed=5)
+    pair = default_camera_pair()
+    scaled = [TwoSlitCamera(np.ldexp(cam.A1, k), np.ldexp(cam.A2, k)) for cam in pair]
+    scene, reference = generate_scene(config, scaled), generate_scene(config, pair)
+    assert np.array_equal(scene.points, reference.points)
+    assert np.array_equal(scene.correspondences, reference.correspondences)
+    for cam, ref in zip(scene.cameras, reference.cameras):
+        assert np.array_equal(cam.A1, np.ldexp(ref.A1, k))
+        assert np.array_equal(cam.A2, np.ldexp(ref.A2, k))
