@@ -13,6 +13,7 @@ matrix C of second rows, which is what the recovery routine inverts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,15 @@ class EpipolarTensor:
 
     def normalized(self):
         """Unit Frobenius norm, largest-magnitude entry positive."""
-        v = pow2_scaled(self.values)  # so that the norm neither overflows nor underflows
-        v = v / np.linalg.norm(v)
-        lead = v.reshape(-1)[np.argmax(np.abs(v))]
-        return EpipolarTensor(v if lead > 0 else -v)
+        return EpipolarTensor(_normalized(self.values))
+
+
+def _normalized(values):
+    """The values of EpipolarTensor.normalized, from a finite, nonzero array."""
+    v = pow2_scaled(values)  # so that the norm neither overflows nor underflows
+    v = v / np.linalg.norm(v)
+    lead = v.reshape(-1)[np.argmax(np.abs(v))]
+    return v if lead > 0 else -v
 
 
 def tensor_gap(t1, t2):
@@ -89,12 +95,14 @@ def _levi_civita():
 
 
 _EPSILON = _levi_civita()
+_ROW_SIGNS = np.array([[1.0], [-1.0]])
+_FACTOR_COLUMNS = np.array([0, 2, 1, 2, 3, 5, 4, 5])
 
 
 def _row_products(R):
     """(k, 4, 16) array of a rig: row 2a+b of a camera is the flattened
     outer product of (-1)^a A1[1-a] and (-1)^b A2[1-b]."""
-    a = R[:, :, ::-1] * [[1.0], [-1.0]]
+    a = R[:, :, ::-1] * _ROW_SIGNS
     return (a[:, 0, :, None, :, None] * a[:, 1, None, :, None, :]).reshape(-1, 4, 16)
 
 
@@ -127,7 +135,7 @@ def _as_correspondences(correspondences):
 def _factors(corr):
     """The 2-vector factors (u1,u3), (u2,u3), (v1,v3), (v2,v3) of (n, 6)
     correspondence rows as a (4, n, 2) array, in tensor mode order."""
-    return corr[:, [0, 2, 1, 2, 3, 5, 4, 5]].reshape(-1, 4, 2).transpose(1, 0, 2)
+    return corr[:, _FACTOR_COLUMNS].reshape(-1, 4, 2).transpose(1, 0, 2)
 
 
 def epipolar_residuals(tensor, correspondences, normalized=True):
@@ -237,8 +245,7 @@ def estimate_tensor_linear(correspondences):
         raise DegeneracyError(
             "correspondences do not determine the tensor (solution space has "
             "dimension > 1; degenerate scene such as coplanar points)")
-    est = multilinear_transform(Vt[15].reshape(2, 2, 2, 2), maps)
-    return EpipolarTensor(est).normalized()
+    return EpipolarTensor(_normalized(multilinear_transform(Vt[15].reshape(2, 2, 2, 2), maps)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +260,11 @@ class MinorMatrix:
         C = np.asarray(self.matrix, dtype=float)
         if C.shape != (4, 4):
             raise ValidationError(f"minor matrix must be 4x4, got {C.shape}")
-        row_pinned = np.max(np.abs(C[0, 1:] - 1.0)) <= TOL
-        col_pinned = np.max(np.abs(C[1:, 0] - 1.0)) <= TOL
+        rows = C.tolist()  # Python floats: numpy reductions of a 4x4 cost more
+        if not all(math.isfinite(x) for row in rows for x in row):
+            raise ValidationError("minor matrix has non-finite entries")
+        row_pinned = all(abs(x - 1.0) <= TOL for x in rows[0][1:])
+        col_pinned = all(abs(row[0] - 1.0) <= TOL for row in rows[1:])
         if not (row_pinned or col_pinned):
             raise ValidationError(
                 "first row or first column must be (c11, 1, 1, 1)")
@@ -356,19 +366,26 @@ def recover_minor_matrices(tensor):
     res = [a ** 2 + b ** 2 for a, b in zip(
         (np.linalg.det(C) - f(1, 1, 1, 1)).tolist(),
         (-np.linalg.det(C[:, 1:, 1:]) - f(2, 1, 1, 1)).tolist())]
-    candidates = list(zip(C, res))
     if sum(r < FIT_TOL for r in res) < 2:
-        candidates += zip(C.transpose(0, 2, 1).copy(), res)
-    candidates.sort(key=lambda t: t[1])
-    return [(MinorMatrix(M), r) for M, r in candidates[:8]]
+        C = np.concatenate([C, C.transpose(0, 2, 1)])
+        res += res
+    best = sorted(range(len(res)), key=res.__getitem__)[:8]
+    return [(MinorMatrix(C[i]), res[i]) for i in best]
+
+
+def _configurations(C):
+    """The normal-form camera pairs of a (k, 4, 4) stack of minor
+    matrices, checked as one rig: camera A is (e1, row 1 of C),
+    (e2, row 2), camera B the same with rows 3 and 4."""
+    R = np.empty((len(C), 4, 2, 4))
+    R[:, :, 0], R[:, :, 1] = np.eye(4), C
+    cams = _rig(R.reshape(-1, 2, 2, 4))
+    return tuple(zip(cams[::2], cams[1::2]))
 
 
 def cameras_from_minor_matrix(minor):
     """Normal-form camera pair whose tensor has these principal minors."""
-    # camera A is (e1, row 1 of C), (e2, row 2), camera B the same with
-    # rows 3 and 4; checked as one rig
-    camA, camB = _rig(np.stack([np.eye(4), minor.matrix], axis=1).reshape(2, 2, 2, 4))
-    return camA, camB
+    return _configurations(minor.matrix[None])[0]
 
 
 def normal_form_transform(camA, camB):
@@ -392,9 +409,8 @@ def normal_form_transform(camA, camB):
     return np.linalg.solve(first, np.diag(d))
 
 
-def transpose_conjugate(minor):
-    """The companion gauge-fixed matrix with the same principal minors."""
-    C = minor.matrix
+def _companion(C):
+    """The matrix of transpose_conjugate, from a minor matrix's array."""
     col1 = C[1:, 0]
     if np.min(np.abs(col1)) < ZERO_TOL * max(1.0, float(np.max(np.abs(C)))):
         raise DegeneracyError(
@@ -402,19 +418,24 @@ def transpose_conjugate(minor):
     d = np.concatenate([[1.0], 1.0 / col1])
     C2 = (C.T * d[None, :]) / d[:, None]
     C2[0, 1:] = 1.0
-    return MinorMatrix(C2)
+    return C2
+
+
+def transpose_conjugate(minor):
+    """The companion gauge-fixed matrix with the same principal minors."""
+    return MinorMatrix(_companion(minor.matrix))
 
 
 def two_configurations(minor):
-    """Both camera configurations compatible with the minors of C. Where
-    a zero in C's first column leaves transpose_conjugate undefined, C is
-    row-pinned, and its plain transpose is pinned in the column gauge."""
-    first = cameras_from_minor_matrix(minor)
+    """Both camera configurations with the minors of C, as one rig of four
+    cameras. Where a zero in C's first column leaves transpose_conjugate
+    undefined, C is row-pinned, and its plain transpose is column-pinned."""
+    C = minor.matrix
     try:
-        companion = transpose_conjugate(minor)
+        companion = _companion(C)
     except DegeneracyError:
-        companion = MinorMatrix(minor.matrix.T)
-    return first, cameras_from_minor_matrix(companion)
+        companion = C.T
+    return _configurations(np.stack([C, companion]))
 
 
 def _calibrations(*Ks):

@@ -135,9 +135,8 @@ def generate_scene(config=SceneConfig(), cameras=None):
     # the image coordinates are row ratios of A1 and of A2: scale the first rows
     u = _unit_images(R, points)[0]
     rms = np.sqrt(np.mean((u[..., :2] / u[..., 2:]) ** 2, axis=1))
-    with np.errstate(over="ignore", invalid="ignore"):  # the camera check catches it
-        scales = np.where(rms > ZERO_TOL, config.image_scale / np.maximum(rms, ZERO_TOL), 1.0)
-        R[:, :, 0] *= scales[..., None]
+    with np.errstate(all="ignore"):  # the camera check catches a scale that is no float
+        R[:, :, 0] *= (config.image_scale / rms)[..., None]
     try:
         camA, camB = _rig(R)
     except ValidationError:

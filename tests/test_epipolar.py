@@ -33,7 +33,7 @@ from twoslit.epipolar import (
     two_configurations,
 )
 from twoslit.errors import DegeneracyError, ValidationError
-from twoslit.projective import COARSE_TOL, FIT_TOL, ZERO_TOL
+from twoslit.projective import COARSE_TOL, FIT_TOL, TOL, ZERO_TOL
 from twoslit.synthetic import SceneConfig, generate_scene
 from twoslit.golden import (
     REFERENCE_CONFIG_A,
@@ -315,6 +315,40 @@ class TestRecovery:
         for camA, camB in two_configurations(minor):
             assert tensors_equal(tensor_from_cameras(camA, camB), t, tol=1e-7)
 
+    def test_two_configurations_check_one_rig_of_four(self, reference_pair, rig_checks):
+        minor = recover_minor_matrices(tensor_from_cameras(*reference_pair))[0][0]
+        rig_checks.clear()
+        two_configurations(minor)
+        assert rig_checks == [4]
+
+    @pytest.mark.parametrize("second_rows", [
+        None,  # the reference pair
+        # the two pairs of test_pinned_zero_triggers_column_fallback
+        [[0.609, 0.0, 1.501, 1.881],
+         [-3.902, -2.604, 0.256, -0.632],
+         [-0.034, -1.706, 1.759, 1.556],
+         [0.132, 2.254, 0.935, -1.719]],
+        [[0.738, -1.918, 1.757, -0.1],
+         [0.0, -1.362, 2.445, -0.309],
+         [-0.857, -0.704, 1.065, 0.731],
+         [0.825, 0.862, 4.283, -0.813]],
+    ])
+    def test_two_configurations_keep_every_bit_of_one_pair_at_a_time(
+            self, reference_pair, second_rows):
+        pair = reference_pair if second_rows is None else normal_form_cameras(second_rows)
+        minor = recover_minor_matrices(tensor_from_cameras(*pair))[0][0]
+        if second_rows is None:
+            companion = transpose_conjugate(minor)
+        else:  # a zero in the first column: the plain transpose stands in
+            assert np.min(np.abs(minor.matrix[1:, 0])) == 0.0
+            companion = MinorMatrix(minor.matrix.T)
+        want = (cameras_from_minor_matrix(minor), cameras_from_minor_matrix(companion))
+        got = two_configurations(minor)
+        for got_pair, want_pair in zip(got, want, strict=True):
+            for g, w in zip(got_pair, want_pair, strict=True):
+                assert g.A1.tobytes() == w.A1.tobytes()
+                assert g.A2.tobytes() == w.A2.tobytes()
+
     def test_symmetric_minor_matrix_is_self_conjugate(self, rng):
         M = rng.normal(size=(4, 4))
         C = (M + M.T) / 2.0
@@ -343,6 +377,26 @@ class TestMinorMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValidationError, match="4x4"):
             MinorMatrix(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("offset, accepted", [(0.5 * TOL, True), (2.0 * TOL, False)])
+    def test_pinned_row_is_held_to_tol(self, rng, offset, accepted):
+        C = rng.normal(size=(4, 4)) + 5.0
+        C[0, 1:] = 1.0
+        C[0, 2] += offset
+        if accepted:
+            assert MinorMatrix(C).matrix[0, 2] == 1.0 + offset
+        else:
+            with pytest.raises(ValidationError, match="first row or first column"):
+                MinorMatrix(C)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("slot", [(0, 1), (2, 3)])  # pinned, free
+    def test_rejects_non_finite_entries(self, rng, value, slot):
+        C = rng.normal(size=(4, 4))
+        C[0, 1:] = 1.0
+        C[slot] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            MinorMatrix(C)
 
     def test_transpose_conjugate_needs_nonzero_column(self):
         C = np.ones((4, 4))

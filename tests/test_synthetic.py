@@ -720,6 +720,7 @@ def test_a_box_of_any_float_size_gives_a_finite_scene(box_halfwidth):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, value", [
     ("box_halfwidth", 1e308),  # the box 2 h wide is no float
+    ("box_halfwidth", 1e-11),  # the image RMS is too small to scale
     ("image_scale", 1e9),  # the rescaled camera fails the check
     ("image_scale", 1e-9),
     ("image_scale", 1e300),  # the row scales overflow
