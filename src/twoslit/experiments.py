@@ -9,6 +9,7 @@ configurations raise immediately.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -34,9 +35,10 @@ from .synthetic import (
     _check_range,
     _check_scene,
     _count,
+    _rms,
     _seed,
+    _triangulate,
     generate_scene,
-    reprojection_rms,
 )
 
 MIN_Q_DET = 1e-10  # smallest |det| of a given ground-truth frame
@@ -47,21 +49,12 @@ def _record_failure(report, exc):
     report.error_kind = "degeneracy" if isinstance(exc, DegeneracyError) else "validation"
 
 
-def _copied(value):
-    """value with every nested list and dict copied; other values, all
-    immutable in a report, are shared."""
-    if isinstance(value, list):
-        return [_copied(v) if isinstance(v, (list, dict)) else v for v in value]
-    if isinstance(value, dict):
-        return {k: _copied(v) for k, v in value.items()}
-    return value
-
-
 class _Report:
     def to_dict(self):
-        """The report as plain data, equal to dataclasses.asdict(self)
-        without its deep copy of every float."""
-        return {f.name: _copied(getattr(self, f.name)) for f in fields(self)}
+        """The report as plain data, equal to dataclasses.asdict(self):
+        one pickle round trip copies every container at C speed."""
+        return pickle.loads(pickle.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                                         pickle.HIGHEST_PROTOCOL))
 
 
 @dataclass
@@ -83,7 +76,10 @@ class SfmReport(_Report):
     error_kind: str = ""
 
 
-def _configuration_entry(index, minor, residual, tensor, correspondences, truth, W_inv):
+def _configuration_entry(index, minor, residual, tensor, truth, W_inv):
+    """A recovered configuration's entry, but for its reprojection_rms,
+    and the rig that scores it: the cameras in the ground-truth frame
+    when there is one."""
     try:
         camA, camB = cameras_from_minor_matrix(minor)
     except ValidationError as exc:  # the recovery built these matrices, not the input
@@ -98,11 +94,11 @@ def _configuration_entry(index, minor, residual, tensor, correspondences, truth,
     }
     if truth is not None:
         # judge the configuration in the ground-truth frame, as one rig
-        camA, camB = _rig(R @ W_inv)
+        R = R @ W_inv
+        camA, camB = _rig(R)
         entry["camera_gap"] = max(camera_distance(camA, truth[0]),
                                   camera_distance(camB, truth[1]))
-    entry["reprojection_rms"] = reprojection_rms(camA, camB, correspondences)
-    return entry
+    return entry, R
 
 
 def run_sfm_pipeline(corr, report, truth=None):
@@ -116,9 +112,24 @@ def run_sfm_pipeline(corr, report, truth=None):
         {"matrix": m.matrix.tolist(), "residual": float(r)} for m, r in candidates]
     # W is invertible: normal_form_transform rejects dependent first rows
     W_inv = np.linalg.inv(normal_form_transform(*truth)) if truth is not None else None
+    entries, rigs, failure = [], [], None
     for index, (minor, residual) in enumerate(candidates[:2]):
-        report.configurations.append(
-            _configuration_entry(index, minor, residual, tensor, corr, truth, W_inv))
+        try:
+            entry, R = _configuration_entry(index, minor, residual, tensor, truth, W_inv)
+        except TwoSlitError as exc:
+            failure = exc
+            break
+        entries.append(entry)
+        rigs.append(R)
+    # One pass scores every built configuration. A configuration is
+    # reported, as if each were checked and then scored in turn, only if
+    # it and all before it were scored; the first failure is raised.
+    _, r, error = _triangulate(np.reshape(rigs, (-1, 2, 2, 2, 4)), corr)
+    for entry, rc in zip(entries, r):
+        entry["reprojection_rms"] = _rms(rc)
+        report.configurations.append(entry)
+    if error or failure:
+        raise error or failure
     if truth is not None and report.configurations:
         report.equivalent_configuration = int(np.argmin(
             [c["camera_gap"] for c in report.configurations]))

@@ -163,13 +163,17 @@ def generate_scene(config=SceneConfig(), cameras=None):
     )
 
 
-def _linearize(N, D, t, x):
-    """Residuals (N.x)/(D.x) - t at the rows of x, inf where a point
-    images at infinity, and their (n, 4, 4) Jacobians."""
-    num, den = x @ N.T, x @ D.T
+def _linearize(ND, t, x):
+    """Residuals (N.x)/(D.x) - t of (m, 4) points through their own
+    numerator rows N and denominator rows D, stacked as ND (m, 8, 4), inf
+    where a point images at infinity, and their (m, 4, 4) Jacobians. The
+    products are an einsum, not a BLAS call: a row's bits do not depend
+    on how many rows share the call."""
+    nd = np.einsum("mij,mj->mi", ND, x)
+    num, den = nd[:, :4], nd[:, 4:]
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(np.abs(den) > ROUNDOFF * np.hypot(num, den), num / den - t, np.inf)
-        J = (N * den[..., None] - D * num[..., None]) / (den ** 2)[..., None]
+        J = (ND[:, :4] * den[..., None] - ND[:, 4:] * num[..., None]) / (den ** 2)[..., None]
     return r, J
 
 
@@ -188,8 +192,9 @@ def _gauss_newton_steps(J, r, x):
 
 
 def _start_points(planes, D):
-    """Unit start points of (n, 4, 4) unit planes: two of camera A, whose
-    denominator rows are D, then two of camera B.
+    """Unit start points of (m, 4, 4) unit planes: two of camera A, whose
+    denominator rows are D (m, 2, 4), then two of camera B. A point whose
+    planes give no start point gets NaN.
 
     Contracting the outer product of one camera's planes with the
     Levi-Civita symbol gives the 4x4 matrix of its ray; times a plane of
@@ -211,13 +216,11 @@ def _start_points(planes, D):
     # denominator vanishes there.
     flat = longest < ROUNDOFF
     if np.any(flat):
-        slits = rays[flat, 0] @ D.T
+        slits = np.einsum("nij,nkj->nik", rays[flat, 0], D[flat])
         C[flat] = np.sum(slits / np.linalg.norm(slits, axis=1, keepdims=True), axis=2)[:, None]
         longest[flat] = np.linalg.norm(C[flat, 0], axis=1)
-    if np.any(longest <= TINY):
-        raise DegeneracyError("the image planes of a point give no start point")
     # entries at most 1 and a row of length 1, so |C^T C x| >= |C x|^2 >= 1
-    C /= longest[:, None, None]
+    C /= np.where(longest > TINY, longest, np.nan)[:, None, None]
     x = C[rows]
     for _ in range(_POWER_STEPS):
         x = np.einsum("nki,nk->ni", C, np.einsum("nki,ni->nk", C, x))
@@ -225,10 +228,70 @@ def _start_points(planes, D):
     return x
 
 
+def _triangulate(R, correspondences):
+    """Unit points and their residuals, each (j, n, 4), of the same (n, 6)
+    correspondences through every camera pair of a (c, 2, 2, 2, 4) stack
+    R, and the DegeneracyError of configuration j, the first that fails,
+    or None where j = c: the configurations that triangulating one pair
+    after another would finish. All c n points share one _start_points
+    call, then per pass one _linearize of the live points and at most one
+    _gauss_newton_steps, for the points that won their trial and go on.
+    """
+    # each (z, w) pair to a largest entry in [0.5, 1) by an exact power
+    # of two, which neither its unit plane nor t = z / w sees
+    zw = pow2_scaled(_factors(_as_correspondences(correspondences)), axis=2)
+    c, n = len(R), zw.shape[1]
+    if c and np.any(np.abs(zw[..., 1]) <= ROUNDOFF * np.abs(zw[..., 0])):
+        return np.empty((0, n, 4)), np.empty((0, n, 4)), DegeneracyError(
+            "a measured image point lies at infinity")
+    z, w = np.tile(zw.transpose(2, 1, 0), (1, c, 1))
+    # the numerator rows of u1, u2, v1, v2 of every point, then their denominator rows
+    ND = np.repeat(R.transpose(0, 3, 1, 2, 4).reshape(c, 8, 4), n, axis=0)
+    planes = w[..., None] * ND[:, :4] - z[..., None] * ND[:, 4:]
+    planes /= np.linalg.norm(planes, axis=2, keepdims=True)
+    x = _start_points(planes, ND[:, 4:6])
+    t = z / w
+    r, J = _linearize(ND, t, x)
+    failed = np.flatnonzero(~np.all(np.isfinite(r), axis=1))
+    j = failed[0] // n if failed.size else c
+    error = None if j == c else DegeneracyError(
+        "the image planes of a point give no start point" if np.isnan(x[j * n:(j + 1) * n]).any()
+        else "triangulated point projects to infinity")
+    m = j * n
+    ND, t, x, r = ND[:m], t[:m], x[:m], r[:m]
+    cost = np.sum(r * r, axis=1)
+    step = _gauss_newton_steps(J[:m], r, x)
+    length = np.ones(m)
+    live = np.arange(m)
+    for _ in range(MAX_PASSES):
+        if not live.size:
+            break
+        tried = length[live] * np.linalg.norm(step[live], axis=1)
+        trial = x[live] + length[live, None] * step[live]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        rt, Jt = _linearize(ND[live], t[live], trial)
+        ct = np.sum(rt * rt, axis=1)
+        # a finite trial cost within rounding of the cost ends the point
+        with np.errstate(invalid="ignore"):  # 0 inf: t = 0 where a trial images at infinity
+            rounding = ROUNDOFF * np.sum(np.abs(t[live]) * (np.abs(r[live]) + np.abs(rt)), axis=1)
+        settled = (ct < np.inf) & (np.abs(ct - cost[live]) <= rounding)
+        stays = (tried >= STEP_TOL) & ~settled
+        better = ct < cost[live]
+        won = live[better]
+        x[won], r[won], cost[won] = trial[better], rt[better], ct[better]
+        length[won] = 1.0
+        length[live[~better]] *= 0.5
+        go = better & stays
+        if np.any(go):
+            step[live[go]] = _gauss_newton_steps(Jt[go], rt[go], trial[go])
+        live = live[stays]
+    return x.reshape(j, n, 4), r.reshape(j, n, 4), error
+
+
 def triangulate_points(camA, camB, correspondences):
     """Unit homogeneous points (n, 4) of (n, 6) correspondences, and
     their residuals (n, 4): reprojected minus measured u1/u3, u2/u3,
-    v1/v3 and v2/v3.
+    v1/v3 and v2/v3. This is _triangulate on a stack of one camera pair.
 
     Each image coordinate fixes a plane through the point, such as
     u3 p1 - u1 p2 for u1/u3. A point starts near the least-squares common
@@ -236,42 +299,17 @@ def triangulate_points(camA, camB, correspondences):
     meet (_start_points, no factorization), exact for noiseless data.
     Gauss-Newton on the unit sphere refines all points at once, one
     batched 4x4 solve per pass, halving a point's step until it lowers
-    the residual. A point stops after trying a step shorter than STEP_TOL.
+    the residual. A point stops after trying a step shorter than STEP_TOL
+    or once a trial changes its cost by no more than rounding, ROUNDOFF
+    sum |t| (|r| + |r_trial|) over its measured ratios t; only points
+    that go on get a new step. Every product is per point, the residual
+    rows by einsum rather than BLAS, so a point's bits do not depend on
+    its batch.
     """
-    # each (z, w) pair to a largest entry in [0.5, 1) by an exact power
-    # of two, which neither its unit plane nor t = z / w sees
-    zw = pow2_scaled(_factors(_as_correspondences(correspondences)), axis=2)
-    z, w = zw.transpose(2, 1, 0)
-    if np.any(np.abs(w) <= ROUNDOFF * np.abs(z)):
-        raise DegeneracyError("a measured image point lies at infinity")
-    N, D = _stack((camA, camB)).transpose(2, 0, 1, 3).reshape(2, 4, 4)
-    planes = w[..., None] * N - z[..., None] * D
-    planes /= np.linalg.norm(planes, axis=2, keepdims=True)
-    x = _start_points(planes, D[:2])
-    t = z / w
-    r, J = _linearize(N, D, t, x)
-    if not np.all(np.isfinite(r)):
-        raise DegeneracyError("triangulated point projects to infinity")
-    cost = np.sum(r * r, axis=1)
-    step = _gauss_newton_steps(J, r, x)
-    length = np.ones(len(x))
-    live = np.arange(len(x))
-    for _ in range(MAX_PASSES):
-        if not live.size:
-            break
-        tried = length[live] * np.linalg.norm(step[live], axis=1)
-        trial = x[live] + length[live, None] * step[live]
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        rt, Jt = _linearize(N, D, t[live], trial)
-        ct = np.sum(rt * rt, axis=1)
-        better = ct < cost[live]
-        won = live[better]
-        x[won], r[won], cost[won] = trial[better], rt[better], ct[better]
-        step[won] = _gauss_newton_steps(Jt[better], rt[better], trial[better])
-        length[won] = 1.0
-        length[live[~better]] *= 0.5
-        live = live[tried >= STEP_TOL]
-    return x, r
+    x, r, error = _triangulate(_stack((camA, camB))[None], correspondences)
+    if error is not None:
+        raise error
+    return x[0], r[0]
 
 
 def _one_row(u, v):
@@ -293,11 +331,14 @@ def triangulate_correspondence(camA, camB, u, v):
     return x / x[3], float(np.max(np.abs(r)))
 
 
+def _rms(r):
+    return float(np.sqrt(np.mean(r ** 2)))
+
+
 def reprojection_rms(camA, camB, correspondences):
     """RMS of reprojected-minus-measured inhomogeneous image coordinates
     of the points triangulate_points finds."""
-    _, r = triangulate_points(camA, camB, correspondences)
-    return float(np.sqrt(np.mean(r ** 2)))
+    return _rms(triangulate_points(camA, camB, correspondences)[1])
 
 
 def _rotations(M):

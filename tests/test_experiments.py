@@ -402,3 +402,68 @@ def test_recovered_cameras_failing_the_camera_check_are_a_degeneracy(seed, near_
     assert not report.ok
     assert report.error_kind == "degeneracy"
     assert report.error.startswith("recovered configuration 0 fails the camera check: ")
+
+
+def first_entry_kept(report, reference, error):
+    """A failed run that keeps the first configuration's full entry, as
+    the unpatched run gives it, and fails with `error`."""
+    assert not report.ok and report.error_kind == "degeneracy"
+    assert report.error.startswith(error), report.error
+    assert report.configurations == reference.configurations[:1]
+    assert "reprojection_rms" in report.configurations[0]
+
+
+def failing_second_call(monkeypatch):
+    """Make experiments.cameras_from_minor_matrix fail its second call."""
+    from twoslit import experiments
+    calls = []
+
+    def second_fails(minor, _original=experiments.cameras_from_minor_matrix):
+        calls.append(minor)
+        if len(calls) == 2:
+            raise ValidationError("made to fail")
+        return _original(minor)
+    monkeypatch.setattr(experiments, "cameras_from_minor_matrix", second_fails)
+
+
+def no_start_in(monkeypatch, configuration, n):
+    """Make _start_points give no start point to the n points of one
+    configuration of a stack that holds it."""
+    from twoslit import synthetic
+
+    def failing(planes, D, _start=synthetic._start_points):
+        x = _start(planes, D)
+        x[configuration * n:(configuration + 1) * n] = np.nan
+        return x
+    monkeypatch.setattr(synthetic, "_start_points", failing)
+
+
+CONFIG_70 = SceneConfig(n_points=70, noise_sigma=1e-5, seed=2, image_scale=100)
+
+
+def test_a_failing_camera_check_keeps_the_configurations_before_it(monkeypatch):
+    """Configuration 1 failing its camera check leaves configuration 0
+    checked, judged and scored, as when each was scored in turn."""
+    reference = run_sfm_experiment(CONFIG_70)
+    failing_second_call(monkeypatch)
+    first_entry_kept(run_sfm_experiment(CONFIG_70), reference,
+                     "recovered configuration 1 fails the camera check: made to fail")
+
+
+def test_a_failing_triangulation_keeps_the_configurations_before_it(monkeypatch):
+    """Configuration 1 failing in the triangulation both share leaves
+    configuration 0 with the reprojection RMS it has alone."""
+    reference = run_sfm_experiment(CONFIG_70)
+    no_start_in(monkeypatch, 1, 70)
+    first_entry_kept(run_sfm_experiment(CONFIG_70), reference,
+                     "the image planes of a point give no start point")
+
+
+def test_a_triangulation_failure_comes_before_a_later_camera_check(monkeypatch):
+    """Configuration 0 is scored before configuration 1 is checked: its
+    triangulation failure is the error, and no configuration is kept."""
+    failing_second_call(monkeypatch)
+    no_start_in(monkeypatch, 0, 70)
+    report = run_sfm_experiment(CONFIG_70)
+    assert not report.ok and report.configurations == []
+    assert report.error == "the image planes of a point give no start point"

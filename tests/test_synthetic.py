@@ -385,6 +385,74 @@ class TestTriangulationKernel:
             refine_triangulation(*scene.cameras, corr[4, :3], corr[4, 3:])
 
 
+def recorded(monkeypatch, name):
+    """The number of rows of each call of a synthetic kernel from now on."""
+    rows = []
+
+    def counting(*args, _kernel=getattr(synthetic, name)):
+        rows.append(len(args[-1]))
+        return _kernel(*args)
+    monkeypatch.setattr(synthetic, name, counting)
+    return rows
+
+
+class TestTriangulationBatches:
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_point_does_not_depend_on_its_batch(self, seed, sigma):
+        """Every row's start, residuals and steps are computed per point,
+        so the rows of a slice triangulate bit for bit as in the whole."""
+        scene = generate_scene(SceneConfig(n_points=40, noise_sigma=sigma, seed=seed,
+                                           image_scale=100))
+        X, R = triangulate_points(*scene.cameras, scene.correspondences)
+        for rows in (slice(0, 1), slice(3, 4), slice(5, 12), slice(0, 17), slice(20, 40)):
+            Xs, Rs = triangulate_points(*scene.cameras, scene.correspondences[rows])
+            assert np.array_equal(Xs, X[rows]) and np.array_equal(Rs, R[rows]), rows
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_stack_of_pairs_equals_each_pair_alone(self, seed, sigma):
+        """The recovered configurations and the true pair, triangulated as
+        one stack, give each pair's points and residuals bit for bit."""
+        scene = generate_scene(SceneConfig(n_points=70, noise_sigma=sigma, seed=seed,
+                                           image_scale=100))
+        report = run_sfm_experiment(correspondences=scene.correspondences)
+        pairs = [[[c["cameras"][a], c["cameras"][b]] for a, b in (("A1", "A2"), ("B1", "B2"))]
+                 for c in report.configurations]
+        R = np.array(pairs + [[(cam.A1, cam.A2) for cam in scene.cameras]])
+        X, r, error = synthetic._triangulate(R, scene.correspondences)
+        assert error is None and X.shape == r.shape == (3, 70, 4)
+        for k in range(3):
+            Xk, rk, error = synthetic._triangulate(R[k:k + 1], scene.correspondences)
+            assert error is None
+            assert np.array_equal(Xk[0], X[k]) and np.array_equal(rk[0], r[k])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_point_stops_once_its_cost_moves_by_rounding(self, seed, monkeypatch):
+        """With the true cameras, every triangulation stops within six
+        residual evaluations: a trial whose cost change is within rounding
+        of the residuals ends its point instead of halving its step down
+        to STEP_TOL."""
+        calls = recorded(monkeypatch, "_linearize")
+        counts = []
+        for n in (70, 280):
+            for sigma in (1e-5, 1e-4, 1e-3):
+                scene = generate_scene(SceneConfig(n_points=n, noise_sigma=sigma, seed=seed,
+                                                   image_scale=100))
+                calls.clear()
+                triangulate_points(*scene.cameras, scene.correspondences)
+                counts.append(len(calls))
+        assert max(counts) <= 6, counts
+
+    def test_no_step_for_a_point_that_stops(self, monkeypatch):
+        """Noiseless points start exact and stop on their first trial, so
+        the only Gauss-Newton steps are those of the start."""
+        steps = recorded(monkeypatch, "_gauss_newton_steps")
+        scene = generate_scene(SceneConfig(n_points=70, noise_sigma=0.0, seed=0, image_scale=100))
+        triangulate_points(*scene.cameras, scene.correspondences)
+        assert steps == [70]
+
+
 def pinv_steps(J, r):
     """The step kernel as it was before the augmented solve: one batched
     pseudo-inverse of the Jacobians."""
