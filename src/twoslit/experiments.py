@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DegeneracyError, TwoSlitError, ValidationError
+from . import cameras
 from .cameras import _rig, _stack, camera_distance
 from .epipolar import (
     _as_correspondences,
@@ -27,7 +28,8 @@ from .epipolar import (
     tensor_gap,
 )
 from .io import _field
-from .selfcal import DualAbsoluteQuadric, estimate_daq, extract_upgrade, similarity_defect
+from .projective import TOL, pow2_scaled
+from .selfcal import DualAbsoluteQuadric, _daq, _upgrade, similarity_defect
 from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
@@ -41,7 +43,12 @@ from .synthetic import (
     generate_scene,
 )
 
-MIN_Q_DET = 1e-10  # smallest |det| of a given ground-truth frame
+
+def _singular(Q):
+    """Whether a finite 4x4 frame has s4 <= TOL s1, which no scale of it
+    changes."""
+    s = np.linalg.svd(pow2_scaled(Q), compute_uv=False)
+    return s[3] <= TOL * s[0]
 
 
 def _record_failure(report, exc):
@@ -213,31 +220,31 @@ def run_selfcal_experiment(config=SelfcalConfig()):
                 Q = rng.normal(size=(4, 4))
         else:
             Q = _field(config.q_matrix, "q_matrix")
-            if (Q.shape != (4, 4) or not np.all(np.isfinite(Q))
-                    or abs(np.linalg.det(Q)) < MIN_Q_DET):
+            if Q.shape != (4, 4) or not np.all(np.isfinite(Q)) or _singular(Q):
                 raise ValidationError("q_matrix must be an invertible 4x4 matrix")
         report.q_true = Q.tolist()
-        report.magnifications_true = [(float(f1), float(f2)) for f1, f2 in K[:, :, 0, 0]]
+        Q = pow2_scaled(Q)  # exact: no result below sees the frame's scale
+        report.magnifications_true = list(map(tuple, K[:, :, 0, 0].tolist()))
 
-        A = R @ np.linalg.inv(Q)  # checked once, with its noise, by _rig below
+        A = R @ np.linalg.inv(Q)
         A = A / np.linalg.norm(A, axis=(2, 3), keepdims=True)
         A = A + rng.normal(0.0, config.noise_sigma, A.shape)
-        noisy = _rig(A)
-        report.cameras = [{"A1": A1.tolist(), "A2": A2.tolist()} for A1, A2 in A]
+        if not np.isfinite(A).all():  # a draw overflowed
+            raise ValidationError(f"noise_sigma {config.noise_sigma} overflows the cameras")
+        cameras._check_rig(A)  # the only check of the rig, with its noise
+        report.cameras = [dict(zip(("A1", "A2"), pair)) for pair in A.tolist()]
 
-        daq = estimate_daq(noisy)
+        daq = _daq(A)
         report.daq = daq.matrix.tolist()
         truth = DualAbsoluteQuadric(Q @ np.diag([1.0, 1, 1, 0]) @ Q.T).matrix
         report.daq_true_gap = float(np.max(np.abs(daq.matrix - truth)))
 
-        upgrade = extract_upgrade(daq, noisy)
-        report.eigenvalues = upgrade.eigenvalues.tolist()
-        report.q_prime = upgrade.q_prime.tolist()
-        report.similarity_defect = float(similarity_defect(Q, upgrade.q_prime))
-        report.magnifications_recovered = [
-            (float(m1), float(m2)) for m1, m2 in upgrade.magnifications]
-        report.magnification_max_error = float(np.max(np.abs(
-            np.subtract(report.magnifications_recovered, report.magnifications_true))))
+        q_prime, lam, _, m = _upgrade(daq, A)
+        report.eigenvalues = lam.tolist()
+        report.q_prime = q_prime.tolist()
+        report.similarity_defect = float(similarity_defect(Q, q_prime))
+        report.magnifications_recovered = list(map(tuple, m.tolist()))
+        report.magnification_max_error = float(np.max(np.abs(m - K[:, :, 0, 0])))
         report.ok = True
     except TwoSlitError as exc:
         _record_failure(report, exc)

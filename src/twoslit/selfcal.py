@@ -9,9 +9,12 @@ entries of M per matrix, two per camera. The null vector of the
 stacked system estimates M; an eigendecomposition splits off the
 upgrading transform.
 
-Both steps take the whole rig as one (n, 2, 2, 4) array of camera
-matrices: one design row per matrix from the outer product of its two
+Both steps are kernels on a checked (n, 2, 2, 4) rig array, _daq and
+_upgrade: one design row per matrix from the outer product of its two
 rows, and one stacked triangular factorization for every calibration.
+Each matrix is divided by a power of two first, so a finite rig of any
+scale gives the same bits. estimate_daq and extract_upgrade wrap them
+for a list of cameras; run_selfcal_experiment calls the kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .cameras import _rq_2x3, _stack
-from .projective import TINY, TOL, ZERO_TOL
+from .projective import TINY, TOL, ZERO_TOL, pow2_scaled
 
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
 DEGENERACY_TOL = 1e-6  # smallest ratio s9/s1 of the constraint system
@@ -58,17 +61,13 @@ class DualAbsoluteQuadric:
         return w[order], V[:, order]
 
 
-def estimate_daq(cameras):
-    """Least-squares dual quadric from centered parallel cameras.
-
-    Needs at least five cameras (two equations each, ten unknowns up
-    to scale). Raises DegeneracyError when the equations leave more
-    than a one-dimensional solution space (degenerate motion).
-    """
-    R = _stack(cameras)
+def _daq(R):
+    """estimate_daq on a checked (n, 2, 2, 4) rig. Each matrix is divided
+    by a power of two before it is normalized, so a finite rig of any
+    scale neither overflows nor underflows, and the bits do not change."""
     if len(R) < 5:
         raise ValidationError(f"need at least 5 cameras for self-calibration, got {len(R)}")
-    A = R.reshape(-1, 2, 4)
+    A = pow2_scaled(R.reshape(-1, 2, 4), axis=(1, 2))
     A = A / np.linalg.norm(A, axis=(1, 2), keepdims=True)
     # (A M A^T)[0, 1] = sum over a <= b of M[a, b] (P[a, b] + P[b, a]), P[a, a] once
     P = A[:, 0, :, None] * A[:, 1, None, :]
@@ -87,6 +86,16 @@ def estimate_daq(cameras):
     return DualAbsoluteQuadric(M)
 
 
+def estimate_daq(cameras):
+    """Least-squares dual quadric from centered parallel cameras.
+
+    Needs at least five cameras (two equations each, ten unknowns up
+    to scale). Raises DegeneracyError when the equations leave more
+    than a one-dimensional solution space (degenerate motion).
+    """
+    return _daq(_stack(cameras))
+
+
 @dataclass(frozen=True, eq=False)
 class UpgradeResult:
     """Output of the metric upgrade."""
@@ -97,14 +106,11 @@ class UpgradeResult:
     magnifications: list  # row-norm ratio per camera matrix pair
 
 
-def extract_upgrade(daq, cameras):
-    """Factor the quadric and upgrade the cameras with it.
-
-    The eigendecomposition must show three decisively positive
-    eigenvalues and one near zero; the upgrading matrix columns are
-    the eigenvectors scaled by square roots of eigenvalues, the last
-    kept at unit norm.
-    """
+def _upgrade(daq, R):
+    """extract_upgrade on a checked (n, 2, 2, 4) rig: the upgrading
+    matrix, the eigenvalues, the (n, 2, 2, 2) calibrations and the
+    (n, 2) magnifications. Each matrix is divided by a power of two
+    first, which no calibration or magnification sees."""
     lam, V = daq.eigen()
     if lam[0] <= 0:
         raise DegeneracyError("quadric estimate has no positive eigenvalue")
@@ -119,13 +125,24 @@ def extract_upgrade(daq, cameras):
     q_prime = np.column_stack([V[:, 0] * scales[0], V[:, 1] * scales[1],
                                V[:, 2] * scales[2], V[:, 3]])
 
-    U = _stack(cameras) @ q_prime
+    U = pow2_scaled(R, axis=(2, 3)) @ q_prime
     K, _, _ = _rq_2x3(U[..., :3])
     rows = np.linalg.norm(U[..., :3], axis=-1)
-    return UpgradeResult(
-        q_prime=q_prime, eigenvalues=lam,
-        calibrations=[tuple(Ks) for Ks in K / K[..., 1:, 1:]],
-        magnifications=[tuple(m) for m in (rows[..., 0] / rows[..., 1]).tolist()])
+    return q_prime, lam, K / K[..., 1:, 1:], rows[..., 0] / rows[..., 1]
+
+
+def extract_upgrade(daq, cameras):
+    """Factor the quadric and upgrade the cameras with it.
+
+    The eigendecomposition must show three decisively positive
+    eigenvalues and one near zero; the upgrading matrix columns are
+    the eigenvectors scaled by square roots of eigenvalues, the last
+    kept at unit norm.
+    """
+    q_prime, lam, K, m = _upgrade(daq, _stack(cameras))
+    return UpgradeResult(q_prime=q_prime, eigenvalues=lam,
+                         calibrations=[tuple(Ks) for Ks in K],
+                         magnifications=[tuple(mi) for mi in m.tolist()])
 
 
 def similarity_defect(Q_true, q_prime):

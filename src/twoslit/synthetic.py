@@ -430,26 +430,35 @@ def _calibrated_rig(n, rng, first=None):
         if first.shape != (2,) or not np.all(np.isfinite(first) & (first > 0)):
             raise ValidationError(
                 "first_camera_magnifications must hold two finite positive magnifications")
-    low, high = np.log(MAGNIFICATION_RANGE)
-    f = np.empty((n, 2))
+    # Camera i draws, in this order: two log-magnifications, nine rotation
+    # normals, theta, four offsets, a gap sign normal and a gap size. Its
+    # uniform words are row i of `words`, so the gap size and camera i+1's
+    # magnifications are one call; a uniform draw takes one word each. A
+    # pinned first camera leaves its two words at zero.
+    words = np.zeros((n, 8))
+    flat = words.reshape(-1)
     M = np.empty((n, 3, 3))
-    theta = np.empty(n)
-    t = np.empty((n, 4))
-    gap = np.empty((n, 2))  # sign draw, size draw
-    for i in range(n):
-        if i == 0 and first is not None:
-            f[i] = first
-        else:
-            f[i] = np.exp(rng.uniform(low, high, 2))
-        M[i] = rng.normal(size=(3, 3))
-        theta[i] = rng.uniform(0.35, np.pi - 0.35)
-        t[i] = rng.uniform(-2.0, 2.0, 4)
-        gap[i] = rng.normal(), rng.uniform(0.5, 2.0)
-    t[:, 3] = t[:, 2] + np.sign(gap[:, 0]) * gap[:, 1]  # keep slits apart
+    signs = []
+    if n and first is None:
+        rng.random(out=flat[:2])
+    for Mi, j in zip(M, range(0, 8 * n, 8)):
+        rng.standard_normal(out=Mi)
+        rng.random(out=flat[j + 2:j + 7])
+        signs.append(rng.standard_normal())
+        rng.random(out=flat[j + 7:j + 10])
+    # numpy's uniform is low + (high - low) u; one contiguous row per draw
+    low, high = np.log(MAGNIFICATION_RANGE)
+    low = np.array([low, low, 0.35, -2.0, -2.0, -2.0, -2.0, 0.5])
+    high = np.array([high, high, np.pi - 0.35, 2.0, 2.0, 2.0, 2.0, 2.0])
+    u = (low + (high - low) * words).T.copy()
     K = np.zeros((n, 2, 2, 2))
-    K[:, :, 0, 0] = f
+    K[:, :, 0, 0] = np.exp(u[:2]).T
+    if n and first is not None:
+        K[0, :, 0, 0] = first
+    t = u[3:7].T
+    t[:, 3] = t[:, 2] + np.sign(signs) * u[7]  # keep slits apart
     K[:, :, 1, 1] = 1.0
-    return _parallel_rig(K, _rotations(M), theta, t), K
+    return _parallel_rig(K, _rotations(M), u[2], t), K
 
 
 def random_calibrated_cameras(n, rng, first=None):

@@ -467,3 +467,60 @@ def test_a_triangulation_failure_comes_before_a_later_camera_check(monkeypatch):
     report = run_sfm_experiment(CONFIG_70)
     assert not report.ok and report.configurations == []
     assert report.error == "the image planes of a point give no start point"
+
+
+def test_selfcal_run_copies_no_camera_list(monkeypatch):
+    """run_selfcal_experiment passes its rig array to the selfcal kernels:
+    it builds no cameras to stack back into an array."""
+    def no_stack(cameras):
+        raise AssertionError("selfcal stacked a camera list")
+    monkeypatch.setattr("twoslit.selfcal._stack", no_stack)
+    assert run_selfcal_experiment(SelfcalConfig(n_cameras=50, seed=3)).ok
+
+
+def conditioned_frame(seed):
+    """A 4x4 frame with singular values in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    return U @ np.diag(rng.uniform(0.5, 2.0, 4)) @ V.T
+
+
+@pytest.mark.parametrize("k", [-600, -300, -40, -10, -1, 1, 10, 40, 300, 600])
+@pytest.mark.filterwarnings("error")
+def test_selfcal_report_ignores_the_scale_of_the_frame(k):
+    """A frame times 2^k gives the report of the frame in every field but
+    q_true: the run works on the frame divided by a power of two."""
+    Q0 = conditioned_frame(k % 7)
+
+    def report(Q):
+        return run_selfcal_experiment(SelfcalConfig(
+            n_cameras=20, noise_sigma=1e-4, seed=7, q_matrix=tuple(map(tuple, Q)))).to_dict()
+    base, scaled = report(Q0), report(np.ldexp(Q0, k))
+    assert base["ok"] and scaled["q_true"] == np.ldexp(Q0, k).tolist()
+    assert {f: v for f, v in scaled.items() if f != "q_true"} == {
+        f: v for f, v in base.items() if f != "q_true"}
+
+
+@pytest.mark.parametrize("singular_values", [(1e6, 1e6, 1e6, 1e-6), (1.0, 1.0, 1.0, 1e-10)])
+def test_near_singular_frame_is_rejected_by_its_condition(singular_values):
+    """A frame is invertible by its condition, s4/s1, not by |det|."""
+    Q = conditioned_frame(2)
+    U, _, Vt = np.linalg.svd(Q)
+    Q = U @ np.diag(singular_values) @ Vt
+    report = run_selfcal_experiment(SelfcalConfig(n_cameras=6, q_matrix=tuple(map(tuple, Q))))
+    assert not report.ok and report.error_kind == "validation"
+    assert "q_matrix" in report.error and report.q_true == []
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1.7e308])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_selfcal_noise_names_its_field(sigma):
+    """Noise too large for a float is reported against noise_sigma; noise
+    that is merely huge runs without a warning."""
+    report = run_selfcal_experiment(SelfcalConfig(n_cameras=10, noise_sigma=sigma, seed=1))
+    assert not report.ok
+    if sigma > 1e300:
+        assert report.error_kind == "validation" and "noise_sigma" in report.error
+    else:
+        assert "null constraint" not in report.error

@@ -12,12 +12,14 @@ from twoslit.golden import (
 from twoslit.selfcal import (
     OMEGA_DUAL,
     DualAbsoluteQuadric,
+    _daq,
+    _upgrade,
     estimate_daq,
     extract_upgrade,
     similarity_defect,
 )
 from twoslit.synthetic import random_calibrated_cameras, random_rotation
-from twoslit.cameras import TwoSlitCamera, _rq_2x3
+from twoslit.cameras import TwoSlitCamera, _rq_2x3, _stack
 
 
 def scrambled(cams, Q):
@@ -190,3 +192,42 @@ def test_stacked_rq_matches_per_matrix_calls(rng):
         _rq_2x3(M[3, 1])
     with pytest.raises(ValidationError, match="share a direction"):
         _rq_2x3(M)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-4])
+def test_public_calls_wrap_the_rig_kernels(sigma):
+    """estimate_daq and extract_upgrade are _daq and _upgrade on the
+    stacked cameras, bit for bit, with per-camera tuples."""
+    rng = np.random.default_rng(8)
+    cams, _ = random_calibrated_cameras(30, rng)
+    cams = scrambled(cams, REFERENCE_Q)
+    cams = [TwoSlitCamera(c.A1 + rng.normal(0, sigma, (2, 4)),
+                          c.A2 + rng.normal(0, sigma, (2, 4))) for c in cams]
+    R = _stack(cams)
+    daq = estimate_daq(cams)
+    assert np.array_equal(daq.matrix, _daq(R).matrix)
+    q_prime, lam, K, m = _upgrade(daq, R)
+    upgrade = extract_upgrade(daq, cams)
+    assert np.array_equal(upgrade.q_prime, q_prime)
+    assert np.array_equal(upgrade.eigenvalues, lam)
+    assert len(upgrade.calibrations) == len(upgrade.magnifications) == 30
+    for (K1, K2), Ks in zip(upgrade.calibrations, K):
+        assert np.array_equal(K1, Ks[0]) and np.array_equal(K2, Ks[1])
+    assert all(type(mi) is tuple for mi in upgrade.magnifications)
+    assert np.array_equal(upgrade.magnifications, m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rig_scale_changes_no_bit():
+    """Every matrix of a rig scaled by its own power of two, to near the
+    smallest normal floats or the largest, gives the same quadric and
+    upgrade: the kernels neither overflow nor underflow."""
+    cams, _ = random_calibrated_cameras(12, np.random.default_rng(4))
+    R = _stack(scrambled(cams, REFERENCE_Q))
+    daq = _daq(R)
+    expected = _upgrade(daq, R)
+    exponents = np.random.default_rng(5).integers(-900, 900, (12, 2, 1, 1))
+    scaled = np.ldexp(R, exponents)
+    assert np.array_equal(_daq(scaled).matrix, daq.matrix)
+    for got, want in zip(_upgrade(daq, scaled), expected):
+        assert np.array_equal(got, want)
