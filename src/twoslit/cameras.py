@@ -19,6 +19,7 @@ from .congruence import QuadraticCamera, TwoSlitCongruence
 from .projective import COARSE_TOL, FIT_TOL, NEAR_TOL, TINY, TOL, ZERO_TOL
 from .projective import (
     RetinalFrame,
+    as_array,
     as_vector,
     join_line_point,
     join_points,
@@ -30,13 +31,6 @@ from .projective import (
     pow2_scaled,
     scale_free_gap,
 )
-
-
-def _as_pair(A, name):
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 4):
-        raise ValidationError(f"{name} must be 2x4, got {A.shape}")
-    return A
 
 
 def _check_rig(A):
@@ -99,8 +93,7 @@ class TwoSlitCamera:
     A2: np.ndarray
 
     def __post_init__(self):
-        A1 = _as_pair(self.A1, "A1")
-        A2 = _as_pair(self.A2, "A2")
+        A1, A2 = as_array(self.A1, (2, 4), "A1"), as_array(self.A2, (2, 4), "A2")
         _check_rig(np.array([(A1, A2)]))
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "A2", A2)
@@ -132,11 +125,7 @@ def _images(R, X):
 def project_points(camera, points):
     """Images (p1.x q2.x, p2.x q1.x, p2.x q2.x) of the rows of an (n, 4)
     point array, as an (n, 3) array; raises if any row has no image."""
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 4:
-        raise ValidationError(f"points must be (n, 4), got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("point has non-finite entries")
+    X = as_array(points, (-1, 4), "point")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         if np.any(np.linalg.norm(X, axis=1) == 0.0):
             raise ValidationError("point is the zero vector, which has no projective meaning")
@@ -155,10 +144,7 @@ def project_points(camera, points):
 
 def project(camera, x):
     """Image point (p1.x q2.x, p2.x q1.x, p2.x q2.x)."""
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape != (4,):
-        raise ValidationError(f"point must have 4 entries, got shape {np.shape(x)}")
-    return project_points(camera, v[None])[0]
+    return project_points(camera, as_array(x, (4,), "point")[None])[0]
 
 
 def slits(camera):
@@ -388,13 +374,9 @@ def decompose_pushbroom(camera):
 
 def apply_space_transform(camera, H):
     """Camera watching the scene moved by x -> H x (right-composes H^-1)."""
-    H = np.asarray(H, dtype=float)
-    if H.shape != (4, 4):
-        raise ValidationError(f"space transform must be 4x4, got {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValidationError("space transform has non-finite entries")
+    H = as_array(H, (4, 4), "space transform")
     s = np.linalg.svd(H, compute_uv=False)
-    if s[3] < ZERO_TOL * s[0]:
+    if s[3] <= ZERO_TOL * s[0]:
         raise ValidationError("space transform is singular")
     Hinv = np.linalg.inv(H)
     return TwoSlitCamera(camera.A1 @ Hinv, camera.A2 @ Hinv)

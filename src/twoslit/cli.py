@@ -135,7 +135,7 @@ def _check_tensor_entries():
 
 def _clean_solutions():
     """The two minor matrices of the reference tensor with residual below TOL."""
-    t = EpipolarTensor(np.asarray(golden.REFERENCE_TENSOR, float))
+    t = EpipolarTensor(golden.REFERENCE_TENSOR)
     good = [m for m, r in recover_minor_matrices(t) if r < TOL]
     if len(good) != 2:
         raise DegeneracyError(f"expected 2 clean solutions, found {len(good)}")
@@ -176,7 +176,7 @@ def _check_parallel_decomposition():
 
 
 def _check_selfcal_quadric():
-    Q = np.asarray(golden.REFERENCE_Q, float)
+    Q = golden.REFERENCE_Q
     M = Q @ OMEGA_DUAL @ Q.T
     return [("quadric gap", _gap(M / M[0, 0], golden.REFERENCE_DAQ), DAQ_TOL)]
 

@@ -22,6 +22,8 @@ from .errors import ValidationError
 from .projective import COARSE_TOL, ZERO_TOL
 from .projective import (
     RetinalFrame,
+    _count,
+    as_array,
     as_vector,
     dual_matrix,
     join_line_point,
@@ -40,11 +42,8 @@ from .projective import (
 
 def _form_eval(coeffs, x1, x2):
     """Evaluate a homogeneous bivariate form; coeffs[k] scales x1^(m-k) x2^k."""
-    c = np.asarray(coeffs, float).reshape(-1)
-    if c.size == 0:
-        return 0.0
-    m = c.size - 1
-    return float(sum(c[k] * x1 ** (m - k) * x2 ** k for k in range(c.size)))
+    m = coeffs.size - 1
+    return float(sum(c * x1 ** (m - k) * x2 ** k for k, c in enumerate(coeffs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,21 +60,17 @@ class GeneralCongruence:
     h: np.ndarray
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValidationError("bidegree parameter must be non-negative")
-        f = np.asarray(self.f, float).reshape(-1)
-        g = np.asarray(self.g, float).reshape(-1)
-        h = np.asarray(self.h, float).reshape(-1)
-        if f.size != self.beta:
-            raise ValidationError(
-                f"f must have {self.beta} coefficients (degree beta-1), got {f.size}")
-        if g.size != self.beta + 1 or h.size != self.beta + 1:
-            raise ValidationError(
-                f"g and h must have {self.beta + 1} coefficients (degree beta)")
-        if self.beta >= 1 and not np.any(f):
+        beta = _count(self.beta, "beta")
+        if beta < 0:
+            raise ValidationError(f"beta cannot be negative, got {beta}")
+        f = as_array(self.f, (beta,), "f")
+        g = as_array(self.g, (beta + 1,), "g")
+        h = as_array(self.h, (beta + 1,), "h")
+        if beta >= 1 and not np.any(f):
             raise ValidationError("f must be nonzero for beta >= 1")
         if not np.any(g) and not np.any(h):
             raise ValidationError("g and h cannot both vanish")
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)

@@ -21,12 +21,13 @@ import numpy as np
 from .errors import DegeneracyError, ValidationError
 from .cameras import _rig, _stack
 from .projective import FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
-from .projective import negligible, pow2_scaled, scale_free_gap
+from .projective import as_array, negligible, pow2_scaled, scale_free_gap
 
 MIN_CORRESPONDENCES = 15
 # the binary exponent the estimator gives a zero: nonzero floats have
 # -1073..1024, so a zero's stays below every other's after subtracting one
 ZERO_EXPONENT = -4096
+_MODES = "ijkl,ia,jb,kc,ld->abcd"  # each mode of a tensor times the rows of its matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +42,7 @@ class EpipolarTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2, 2, 2, 2):
-            raise ValidationError(f"tensor must have shape (2,2,2,2), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("tensor has non-finite entries")
+        v = as_array(self.values, (2, 2, 2, 2), "tensor")
         if not v.any():
             raise ValidationError("tensor is identically zero")
         object.__setattr__(self, "values", v)
@@ -59,10 +56,7 @@ class EpipolarTensor:
 
     @classmethod
     def from_flat(cls, entries):
-        e = np.asarray(entries, dtype=float).reshape(-1)
-        if e.size != 16:
-            raise ValidationError("need 16 entries")
-        return cls(e.reshape(2, 2, 2, 2))
+        return cls(as_array(entries, (16,), "tensor entries").reshape(2, 2, 2, 2))
 
     def normalized(self):
         """Unit Frobenius norm, largest-magnitude entry positive."""
@@ -120,16 +114,7 @@ def tensor_from_cameras(camA, camB):
 
 def _as_correspondences(correspondences):
     """correspondences as a finite (n, 6) float array."""
-    what = "correspondences must be (n, 6), rows of 6 columns; got"
-    try:
-        corr = np.asarray(correspondences, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} {exc}") from exc
-    if corr.ndim != 2 or corr.shape[1] != 6:
-        raise ValidationError(f"{what} shape {corr.shape}")
-    if not np.all(np.isfinite(corr)):
-        raise ValidationError("correspondences contain non-finite values")
-    return corr
+    return as_array(correspondences, (-1, 6), "correspondence")
 
 
 def _factors(corr):
@@ -163,22 +148,19 @@ def epipolar_residuals(tensor, correspondences, normalized=True):
 
 def epipolar_residual(tensor, u, v, normalized=True):
     """Multilinear form evaluated on a correspondence; ~0 when consistent."""
-    for name, point in (("u", u), ("v", v)):
-        if np.size(point) != 3:
-            raise ValidationError(
-                f"image point {name} must have 3 coordinates, got {np.size(point)}")
-    row = np.append(np.reshape(u, 3), np.reshape(v, 3))
+    row = np.append(as_array(u, (3,), "image point u"), as_array(v, (3,), "image point v"))
     return float(epipolar_residuals(tensor, row[None], normalized)[0])
 
 
 def multilinear_transform(tensor_values, matrices):
-    """Contract each tensor mode with the row index of the matching matrix.
+    """Contract each mode of a (2, 2, 2, 2) tensor with the row index of
+    the matching one of four 2x2 matrices.
 
     Returns G with G[i',j',k',l'] = sum M1[i,i'] M2[j,j'] M3[k,k'] M4[l,l']
     F[i,j,k,l]; composing transforms multiplies the matrices.
     """
-    M1, M2, M3, M4 = (np.asarray(M, float) for M in matrices)
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", np.asarray(tensor_values, float), M1, M2, M3, M4)
+    F = as_array(tensor_values, (2, 2, 2, 2), "tensor values")
+    return np.einsum(_MODES, F, *as_array(matrices, (4, 2, 2), "matrices"))
 
 
 def _conditioned_factors(corr):
@@ -245,7 +227,8 @@ def estimate_tensor_linear(correspondences):
         raise DegeneracyError(
             "correspondences do not determine the tensor (solution space has "
             "dimension > 1; degenerate scene such as coplanar points)")
-    return EpipolarTensor(_normalized(multilinear_transform(Vt[15].reshape(2, 2, 2, 2), maps)))
+    # the contraction of multilinear_transform on arrays that need no check
+    return EpipolarTensor(_normalized(np.einsum(_MODES, Vt[15].reshape(2, 2, 2, 2), *maps)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,9 +425,7 @@ def _calibrations(*Ks):
     """(K1A, K2A, K1B, K2B) as float arrays, checked to be nonsingular 2x2."""
     out = []
     for K, name in zip(Ks, ("K1A", "K2A", "K1B", "K2B")):
-        K = np.asarray(K, dtype=float)
-        if K.shape != (2, 2):
-            raise ValidationError(f"{name} must be 2x2, got {K.shape}")
+        K = as_array(K, (2, 2), name)
         if negligible(np.linalg.det(K), max(np.linalg.norm(K) ** 2, TINY), ZERO_TOL):
             raise ValidationError(f"{name} is singular")
         out.append(K)

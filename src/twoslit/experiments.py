@@ -27,8 +27,7 @@ from .epipolar import (
     tensor_from_cameras,
     tensor_gap,
 )
-from .io import _field
-from .projective import TOL, pow2_scaled
+from .projective import TOL, _count, as_array, pow2_scaled
 from .selfcal import DualAbsoluteQuadric, _daq, _upgrade, similarity_defect
 from .synthetic import (
     RNG_ALGORITHM,
@@ -36,19 +35,11 @@ from .synthetic import (
     _calibrated_rig,
     _check_range,
     _check_scene,
-    _count,
     _rms,
     _seed,
     _triangulate,
     generate_scene,
 )
-
-
-def _singular(Q):
-    """Whether a finite 4x4 frame has s4 <= TOL s1, which no scale of it
-    changes."""
-    s = np.linalg.svd(pow2_scaled(Q), compute_uv=False)
-    return s[3] <= TOL * s[0]
 
 
 def _record_failure(report, exc):
@@ -219,8 +210,9 @@ def run_selfcal_experiment(config=SelfcalConfig()):
             while abs(np.linalg.det(Q)) < 0.1:
                 Q = rng.normal(size=(4, 4))
         else:
-            Q = _field(config.q_matrix, "q_matrix")
-            if Q.shape != (4, 4) or not np.all(np.isfinite(Q)) or _singular(Q):
+            Q = as_array(config.q_matrix, (4, 4), "q_matrix")
+            s = np.linalg.svd(pow2_scaled(Q), compute_uv=False)  # no scale of Q changes s4 / s1
+            if s[3] <= TOL * s[0]:
                 raise ValidationError("q_matrix must be an invertible 4x4 matrix")
         report.q_true = Q.tolist()
         Q = pow2_scaled(Q)  # exact: no result below sees the frame's scale

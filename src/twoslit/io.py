@@ -25,10 +25,6 @@ from .epipolar import EpipolarTensor, _as_correspondences
 CSV_COLUMNS = ("u1", "u2", "u3", "v1", "v2", "v3")
 
 
-def _float_list(a):
-    return np.asarray(a, float).tolist()
-
-
 def _field(data, what, *keys):
     """data[key1][key2]... as a float array. A missing key, a record that
     is not an object, or a value that is ragged, not numeric or too large
@@ -42,7 +38,7 @@ def _field(data, what, *keys):
 
 
 def camera_to_dict(camera):
-    return {"A1": _float_list(camera.A1), "A2": _float_list(camera.A2)}
+    return {"A1": camera.A1.tolist(), "A2": camera.A2.tolist()}
 
 
 def camera_from_dict(data, name=None):
@@ -57,7 +53,7 @@ def tensor_to_dict(tensor):
     return {
         "order": "lexicographic",
         "shape": [2, 2, 2, 2],
-        "values": _float_list(tensor.flat()),
+        "values": tensor.flat().tolist(),
     }
 
 

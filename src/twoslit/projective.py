@@ -35,12 +35,44 @@ def negligible(residual, scale, tol=TOL):
     return np.linalg.norm(residual) < tol * scale
 
 
+def as_array(x, shape, name):
+    """x as a finite float array of the given shape, where one axis of
+    length -1 takes any length and a vector shape (k,) the entries of any
+    array in C order. Otherwise one ValidationError names the argument:
+    "<name> must be <shape>, got ..." for a value numpy cannot convert or
+    of another shape, "<name> has non-finite entries" for a NaN or
+    infinity. A shape (-1, k) stacks rows that name names one of: the
+    stack is "<name>s", which "must be (n, k), rows of k columns"."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        got = exc
+    else:
+        v = a.reshape(-1) if len(shape) == 1 else a
+        if v.shape == shape or v.ndim == len(shape) and all(
+                k in (-1, m) for k, m in zip(shape, v.shape)):
+            if np.isfinite(v).all():
+                return v
+            raise ValidationError(f"{name} has non-finite entries")
+        got = f"shape {a.shape}"
+    dims = ["n" if k == -1 else str(k) for k in shape]
+    if len(shape) == 2 and shape[0] == -1:
+        name, want = name + "s", f"be (n, {dims[1]}), rows of {dims[1]} columns"
+    else:
+        want = ("be a number" if not shape else f"have {dims[0]} entries" if len(shape) == 1
+                else "be " + "x".join(dims))
+    raise ValidationError(f"{name} must {want}, got {got}")
+
+
+def _count(n, name):
+    """n as a number of items: an int or numpy integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def as_vector(x, size, name="vector"):
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape != (size,):
-        raise ValidationError(f"{name} must have {size} entries, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} has non-finite entries")
+    v = as_array(x, (size,), name)
     if not v.any():
         raise ValidationError(f"{name} is the zero vector, which has no projective meaning")
     return v
@@ -48,8 +80,8 @@ def as_vector(x, size, name="vector"):
 
 def cosine_distance(a, b):
     """1 - |cos angle| between two vectors; 0 means projectively equal."""
-    a = pow2_scaled(np.asarray(a, float).reshape(-1))  # so that no norm overflows or underflows
-    b = pow2_scaled(np.asarray(b, float).reshape(-1))
+    a = pow2_scaled(as_array(a, (-1,), "a"))  # so that no norm overflows or underflows
+    b = pow2_scaled(as_array(b, a.shape, "b"))
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return 1.0
@@ -116,7 +148,7 @@ def join_points(x, y):
 
 def line_from_primal(L):
     """Extract Plucker coordinates from an antisymmetric primal matrix."""
-    L = np.asarray(L, float)
+    L = as_array(L, (4, 4), "primal matrix")
     return np.array([L[3, 0], L[3, 1], L[3, 2], L[1, 2], L[2, 0], L[0, 1]])
 
 
@@ -221,11 +253,7 @@ class RetinalFrame:
     plane: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        Y = np.asarray(self.basis, float)
-        if Y.shape != (4, 3):
-            raise ValidationError(f"frame basis must be 4x3, got {Y.shape}")
-        if not np.all(np.isfinite(Y)):
-            raise ValidationError("frame basis has non-finite entries")
+        Y = as_array(self.basis, (4, 3), "frame basis")
         s = np.linalg.svd(Y, compute_uv=False)
         if s[2] < ZERO_TOL * s[0]:
             raise ValidationError("frame points are collinear or coincident")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .cameras import _rq_2x3, _stack
-from .projective import TINY, TOL, ZERO_TOL, pow2_scaled
+from .projective import TINY, TOL, ZERO_TOL, as_array, pow2_scaled
 
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
 DEGENERACY_TOL = 1e-6  # smallest ratio s9/s1 of the constraint system
@@ -40,11 +40,9 @@ class DualAbsoluteQuadric:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.shape != (4, 4):
-            raise ValidationError(f"quadric must be 4x4, got {M.shape}")
-        if not np.all(np.isfinite(M)) or np.linalg.norm(M) == 0.0:
-            raise ValidationError("quadric matrix must be finite and nonzero")
+        M = as_array(self.matrix, (4, 4), "quadric matrix")
+        if np.linalg.norm(M) == 0.0:
+            raise ValidationError("quadric matrix must be nonzero")
         if np.max(np.abs(M - M.T)) > TOL * np.max(np.abs(M)):
             raise ValidationError("quadric matrix must be symmetric")
         M = 0.5 * (M + M.T)
@@ -152,7 +150,11 @@ def similarity_defect(Q_true, q_prime):
     the upper 3x3 block and non-vanishing of the lower-left row. Zero
     for an exact metric upgrade.
     """
-    S = np.linalg.solve(np.asarray(Q_true, float), np.asarray(q_prime, float))
+    Q_true, q_prime = as_array(Q_true, (4, 4), "Q_true"), as_array(q_prime, (4, 4), "q_prime")
+    try:
+        S = np.linalg.solve(Q_true, q_prime)
+    except np.linalg.LinAlgError:
+        raise ValidationError("Q_true is singular") from None
     B = S[:3, :3]
     G = B.T @ B
     s2 = np.trace(G) / 3.0

@@ -15,8 +15,8 @@ from . import golden
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _images, _rig, _stack
 from .epipolar import _EPSILON, _as_correspondences, _factors
-from .io import _field
-from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, as_vector, pow2_scaled
+from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, _count, as_array, as_vector
+from .projective import pow2_scaled
 
 RNG_ALGORITHM = "numpy-PCG64"
 STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
@@ -33,7 +33,8 @@ def reference_camera_pair():
 
 def rotation_about_axis(axis, angle):
     """Rodrigues rotation matrix about an axis vector."""
-    axis = np.asarray(axis, float)
+    axis = as_array(axis, (3,), "rotation axis")
+    angle = as_array(angle, (), "rotation angle")
     n = np.linalg.norm(axis)
     if n < ZERO_TOL:
         raise ValidationError("rotation axis must be nonzero")
@@ -46,9 +47,9 @@ def euclidean_transform(rotation=None, translation=None):
     """Homogeneous 4x4 rigid motion."""
     H = np.eye(4)
     if rotation is not None:
-        H[:3, :3] = np.asarray(rotation, float)
+        H[:3, :3] = as_array(rotation, (3, 3), "rotation")
     if translation is not None:
-        H[:3, 3] = np.asarray(translation, float)
+        H[:3, 3] = as_array(translation, (3,), "translation")
     return H
 
 
@@ -372,16 +373,11 @@ def parallel_camera_pair(K1, K2, rotation, theta, translations):
     direction r2 sits at angle theta from r1 in the plane orthogonal
     to r3. translations is (t1, t2, t3, t4).
     """
-    A = _parallel_rig(np.array([(K1, K2)], float), np.array([rotation], float),
-                      np.array([theta], float), np.array([translations], float))
+    K = np.stack([as_array(K1, (2, 2), "K1"), as_array(K2, (2, 2), "K2")])
+    A = _parallel_rig(K[None], as_array(rotation, (3, 3), "rotation")[None],
+                      as_array(theta, (), "theta")[None],
+                      as_array(translations, (4,), "translations")[None])
     return TwoSlitCamera(*A[0])
-
-
-def _count(n, name):
-    """n as a number of items: an int or numpy integer, not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {n!r}")
-    return int(n)
 
 
 def _seed(seed):
@@ -426,8 +422,8 @@ def _calibrated_rig(n, rng, first=None):
     if n < 0:
         raise ValidationError(f"n_cameras cannot be negative, got {n}")
     if first is not None:
-        first = _field(first, "first_camera_magnifications")
-        if first.shape != (2,) or not np.all(np.isfinite(first) & (first > 0)):
+        first = as_array(first, (2,), "first_camera_magnifications")
+        if not np.all(first > 0):
             raise ValidationError(
                 "first_camera_magnifications must hold two finite positive magnifications")
     # Camera i draws, in this order: two log-magnifications, nine rotation

@@ -558,9 +558,10 @@ PUSHBROOM = ([[1.0, 0, 0, 0.7], [0, 0, 0, 1]], [[0.0, 1, 0, -0.2], [0, 0, 1, 1.1
         PUSHBROOM[0], [[0.0, 1, 0, -0.2], [1, 0, 1, 1.1]])),
      "sweep direction must be orthogonal to the second camera's view direction"),
     (lambda cam: apply_space_transform(cam, np.eye(4)[:3]), "space transform must be 4x4"),
+    (lambda cam: apply_space_transform(cam, np.zeros((4, 4))), "space transform is singular"),
 ], ids=["points-not-n-by-4", "non-finite-row", "zero-row", "base-line-point",
         "five-entry-point", "parallel-of-pushbroom", "pushbroom-not-orthogonal",
-        "3x4-transform"])
+        "3x4-transform", "zero-transform"])
 def test_camera_error_branches_end_in_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):
         call(TwoSlitCamera(*BASE_LINE_CAMERA))

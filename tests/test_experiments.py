@@ -1,13 +1,31 @@
 """End-to-end reconstruction and self-calibration runners."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from twoslit.cameras import TwoSlitCamera, apply_space_transform, camera_distance
-from twoslit.epipolar import normal_form_transform
+from twoslit.cameras import (
+    TwoSlitCamera,
+    apply_space_transform,
+    camera_distance,
+    inverse_ray,
+    project,
+    project_points,
+    to_quadratic,
+)
+from twoslit.congruence import GeneralCongruence
+from twoslit.epipolar import (
+    EpipolarTensor,
+    epipolar_residual,
+    essential_decompose,
+    estimate_tensor_linear,
+    multilinear_transform,
+    normal_form_transform,
+    tensor_from_cameras,
+)
 from twoslit.errors import ValidationError
 from twoslit.experiments import (
     SelfcalConfig,
@@ -18,13 +36,17 @@ from twoslit.experiments import (
 )
 from twoslit.io import write_json
 from twoslit.golden import REFERENCE_MAGNIFICATIONS, REFERENCE_Q
-from twoslit.projective import RetinalFrame
+from twoslit.projective import RetinalFrame, cosine_distance
+from twoslit.selfcal import DualAbsoluteQuadric, similarity_defect
 from twoslit.synthetic import (
     SceneConfig,
+    euclidean_transform,
     generate_scene,
+    parallel_camera_pair,
     random_calibrated_cameras,
     reference_camera_pair,
     reprojection_rms,
+    rotation_about_axis,
 )
 
 
@@ -205,6 +227,73 @@ def reported(report):
     raise ValidationError(report.error)
 
 
+def reference_tensor():
+    return tensor_from_cameras(*reference_camera_pair())
+
+
+def congruence_of_bidegree(beta):
+    return GeneralCongruence(beta=beta, f=[1.0], g=[1.0, 0], h=[0.0, 1])
+
+
+# (test id, argument name, its shape, a call that passes x as that
+# argument) for each numeric argument of the library's entry points
+NUMERIC_ARGUMENTS = [
+    ("camera-A1", "A1", (2, 4), lambda x: TwoSlitCamera(x, np.eye(4)[2:])),
+    ("camera-A2", "A2", (2, 4), lambda x: TwoSlitCamera(np.eye(4)[:2], x)),
+    ("project_points", "point", (5, 4), lambda x: project_points(reference_camera_pair()[0], x)),
+    ("project", "point", (4,), lambda x: project(reference_camera_pair()[0], x)),
+    ("inverse_ray", "image point", (3,), lambda x: inverse_ray(reference_camera_pair()[0], x)),
+    ("to_quadratic", "plane", (4,),
+     lambda x: to_quadratic(reference_camera_pair()[0], plane=x)),
+    ("apply_space_transform", "space transform", (4, 4),
+     lambda x: apply_space_transform(reference_camera_pair()[0], x)),
+    ("tensor", "tensor", (2, 2, 2, 2), EpipolarTensor),
+    ("from_flat", "tensor entries", (16,), EpipolarTensor.from_flat),
+    ("estimate", "correspondence", (20, 6), estimate_tensor_linear),
+    ("essential_decompose", "K1A", (2, 2),
+     lambda x: essential_decompose(reference_tensor(), x, *[np.eye(2)] * 3)),
+    ("residual-u", "image point u", (3,),
+     lambda x: epipolar_residual(reference_tensor(), x, [1.0, 2, 3])),
+    ("residual-v", "image point v", (3,),
+     lambda x: epipolar_residual(reference_tensor(), [1.0, 2, 3], x)),
+    ("multilinear-tensor", "tensor values", (2, 2, 2, 2),
+     lambda x: multilinear_transform(x, [np.eye(2)] * 4)),
+    ("multilinear-matrices", "matrices", (4, 2, 2),
+     lambda x: multilinear_transform(np.ones((2, 2, 2, 2)), x)),
+    ("quadric", "quadric matrix", (4, 4), DualAbsoluteQuadric),
+    ("defect-Q_true", "Q_true", (4, 4), lambda x: similarity_defect(x, np.eye(4))),
+    ("defect-q_prime", "q_prime", (4, 4), lambda x: similarity_defect(np.eye(4), x)),
+    ("frame", "frame basis", (4, 3), RetinalFrame),
+    ("cosine_distance", "b", (4,), lambda x: cosine_distance([1.0, 0, 0, 0], x)),
+    ("rotation-axis", "rotation axis", (3,), lambda x: rotation_about_axis(x, 1.0)),
+    ("rotation-angle", "rotation angle", (), lambda x: rotation_about_axis([0.0, 0, 1], x)),
+    ("euclidean-rotation", "rotation", (3, 3), lambda x: euclidean_transform(rotation=x)),
+    ("euclidean-translation", "translation", (3,), lambda x: euclidean_transform(translation=x)),
+    ("parallel-K1", "K1", (2, 2),
+     lambda x: parallel_camera_pair(x, np.eye(2), np.eye(3), 1.0, np.arange(4.0))),
+    ("parallel-theta", "theta", (),
+     lambda x: parallel_camera_pair(np.eye(2), np.eye(2), np.eye(3), x, np.arange(4.0))),
+    ("parallel-translations", "translations", (4,),
+     lambda x: parallel_camera_pair(np.eye(2), np.eye(2), np.eye(3), 1.0, x)),
+    ("congruence-f", "f", (1,), lambda x: GeneralCongruence(beta=1, f=x, g=[1.0, 0], h=[0.0, 1])),
+    ("congruence-g", "g", (2,), lambda x: GeneralCongruence(beta=1, f=[1.0], g=x, h=[0.0, 1])),
+    ("congruence-h", "h", (2,), lambda x: GeneralCongruence(beta=1, f=[1.0], g=[1.0, 0], h=x)),
+    ("q_matrix", "q_matrix", (4, 4),
+     lambda x: reported(run_selfcal_experiment(SelfcalConfig(n_cameras=6, q_matrix=x)))),
+    ("first-magnifications", "first_camera_magnifications", (2,),
+     lambda x: reported(run_selfcal_experiment(
+         SelfcalConfig(n_cameras=6, first_camera_magnifications=x)))),
+]
+# a string, a ragged list, NaN entries and a shape of 7 entries for each;
+# the message starts with the argument's name
+BAD_ARGUMENTS = [
+    ((lambda call=call, bad=bad: call(bad)), rf"^{re.escape(name)}s? (must|has) ")
+    for _, name, shape, call in NUMERIC_ARGUMENTS
+    for bad in ("abcd", [[1, 2], [3]], np.full(shape, np.nan), np.ones(7))]
+BAD_ARGUMENT_IDS = [f"{entry}-{kind}" for entry, _, _, _ in NUMERIC_ARGUMENTS
+                    for kind in ("text", "ragged", "nan", "wrong-shape")]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: apply_space_transform(reference_camera_pair()[0], np.full((4, 4), np.nan)),
      "non-finite"),
@@ -217,8 +306,13 @@ def reported(report):
         n_cameras=6, q_matrix=tuple(np.full((4, 4), np.nan).tolist())))), "q_matrix"),
     (lambda: reported(run_selfcal_experiment(SelfcalConfig(
         n_cameras=6, q_matrix=tuple(np.diag([1.0, 1, 1, np.inf]).tolist())))), "q_matrix"),
-], ids=["nan-transform", "inf-transform", "nan-frame", "scalar-correspondences",
-        "ragged-correspondences", "nan-q-matrix", "inf-q-matrix"])
+    (lambda: congruence_of_bidegree("1"), "^beta must be an integer"),
+    (lambda: congruence_of_bidegree(1.5), "^beta must be an integer"),
+    (lambda: congruence_of_bidegree(True), "^beta must be an integer"),
+    (lambda: congruence_of_bidegree(-1), "^beta cannot be negative"),
+] + BAD_ARGUMENTS, ids=["nan-transform", "inf-transform", "nan-frame", "scalar-correspondences",
+        "ragged-correspondences", "nan-q-matrix", "inf-q-matrix", "text-beta", "fractional-beta",
+        "bool-beta", "negative-beta"] + BAD_ARGUMENT_IDS)
 @pytest.mark.filterwarnings("error")
 def test_bad_arguments_end_in_validation_errors(call, message):
     """Library entry points answer a bad argument with a ValidationError,
