@@ -8,6 +8,7 @@ numerically degenerate data, 141 when standard output closes early.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -221,6 +222,7 @@ def cmd_verify_paper(args):
     return 0 if passed == len(_CHECKS) else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twoslit",

@@ -240,7 +240,10 @@ class MinorMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        C = np.asarray(self.matrix, dtype=float)
+        try:
+            C = np.asarray(self.matrix, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"minor matrix must be 4x4, got {exc}") from exc
         if C.shape != (4, 4):
             raise ValidationError(f"minor matrix must be 4x4, got {C.shape}")
         rows = C.tolist()  # Python floats: numpy reductions of a 4x4 cost more

@@ -10,6 +10,7 @@ through write_text, so a file and standard output get the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import itertools
@@ -73,7 +74,9 @@ def correspondences_to_csv(correspondences, stream):
 
 
 def correspondences_from_csv(stream):
-    reader = csv.reader(stream)
+    """Rows after the header: numpy's C reader, else the row loop _csv_rows."""
+    lines = list(stream)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -82,6 +85,21 @@ def correspondences_from_csv(stream):
     if header != list(CSV_COLUMNS):
         raise ValidationError(
             "correspondence CSV must start with header " + ",".join(CSV_COLUMNS))
+    body = lines[reader.line_num:]
+    text = "".join(body)
+    # loadtxt warns on only blank lines, strips \x1c-\x1f that float() rejects
+    # and reads cells longer than csv.field_size_limit(), which csv rejects
+    if (text.strip() and max(map(len, body)) <= csv.field_size_limit()
+            and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+            if len(values) and values.shape[1] == 6:
+                return values
+    return _csv_rows(reader)
+
+
+def _csv_rows(reader):
+    """Rows past the header, one float() per cell; the reference reader."""
     values = array("d")
     for lineno, row in enumerate(reader, start=2):
         if len(row) == 6:

@@ -80,7 +80,10 @@ def as_vector(x, size, name="vector"):
 
 def cosine_distance(a, b):
     """1 - |cos angle| between two vectors; 0 means projectively equal."""
-    a = pow2_scaled(as_array(a, (-1,), "a"))  # so that no norm overflows or underflows
+    a = as_array(a, (-1,), "a")
+    if not a.size:
+        raise ValidationError("a must have at least 1 entry, got shape (0,)")
+    a = pow2_scaled(a)  # so that no norm overflows or underflows
     b = pow2_scaled(as_array(b, a.shape, "b"))
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:

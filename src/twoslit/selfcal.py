@@ -41,8 +41,9 @@ class DualAbsoluteQuadric:
 
     def __post_init__(self):
         M = as_array(self.matrix, (4, 4), "quadric matrix")
-        if np.linalg.norm(M) == 0.0:
+        if not M.any():
             raise ValidationError("quadric matrix must be nonzero")
+        M = pow2_scaled(M)  # exact, so that no squared entry underflows or overflows
         if np.max(np.abs(M - M.T)) > TOL * np.max(np.abs(M)):
             raise ValidationError("quadric matrix must be symmetric")
         M = 0.5 * (M + M.T)

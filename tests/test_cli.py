@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoslit
-from twoslit import golden
+from twoslit import cli, golden
 from twoslit import io as tsio
 from twoslit.cameras import project
 from twoslit.cli import main
@@ -533,3 +533,23 @@ def test_sfm_on_valid_input_with_failing_recovered_cameras_exits_3(
     assert code == 3
     assert "recovered configuration" in err
     assert json.loads(out)["error_kind"] == "degeneracy"
+
+
+def test_shared_parser_leaks_no_option(capsys, tmp_path):
+    """main builds its parser once per process; an option given to one call
+    (--format csv) does not reach the next call, which must then infer json
+    from the file name. Each output equals that of a freshly built parser."""
+    csv_path, json_path = str(tmp_path / "c.csv"), str(tmp_path / "c.json")
+    for path, fmt in ((csv_path, "csv"), (json_path, "json")):
+        assert run(capsys, "synth", "--points", "40", "--seed", "5", "--sigma", "1e-6",
+                   "--format", fmt, "--out", path)[0] == 0
+    calls = [("tensor", "--in", csv_path, "--format", "csv"), ("tensor", "--in", json_path)]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert shared[0][0] == 0 and shared[0][1] == shared[1][1]

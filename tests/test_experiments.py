@@ -19,6 +19,7 @@ from twoslit.cameras import (
 from twoslit.congruence import GeneralCongruence
 from twoslit.epipolar import (
     EpipolarTensor,
+    MinorMatrix,
     epipolar_residual,
     essential_decompose,
     estimate_tensor_linear,
@@ -261,6 +262,7 @@ NUMERIC_ARGUMENTS = [
     ("multilinear-matrices", "matrices", (4, 2, 2),
      lambda x: multilinear_transform(np.ones((2, 2, 2, 2)), x)),
     ("quadric", "quadric matrix", (4, 4), DualAbsoluteQuadric),
+    ("minor-matrix", "minor matrix", (4, 4), MinorMatrix),
     ("defect-Q_true", "Q_true", (4, 4), lambda x: similarity_defect(x, np.eye(4))),
     ("defect-q_prime", "q_prime", (4, 4), lambda x: similarity_defect(np.eye(4), x)),
     ("frame", "frame basis", (4, 3), RetinalFrame),
@@ -310,9 +312,10 @@ BAD_ARGUMENT_IDS = [f"{entry}-{kind}" for entry, _, _, _ in NUMERIC_ARGUMENTS
     (lambda: congruence_of_bidegree(1.5), "^beta must be an integer"),
     (lambda: congruence_of_bidegree(True), "^beta must be an integer"),
     (lambda: congruence_of_bidegree(-1), "^beta cannot be negative"),
+    (lambda: cosine_distance([], []), "^a must have at least 1 entry"),
 ] + BAD_ARGUMENTS, ids=["nan-transform", "inf-transform", "nan-frame", "scalar-correspondences",
         "ragged-correspondences", "nan-q-matrix", "inf-q-matrix", "text-beta", "fractional-beta",
-        "bool-beta", "negative-beta"] + BAD_ARGUMENT_IDS)
+        "bool-beta", "negative-beta", "empty-cosine_distance"] + BAD_ARGUMENT_IDS)
 @pytest.mark.filterwarnings("error")
 def test_bad_arguments_end_in_validation_errors(call, message):
     """Library entry points answer a bad argument with a ValidationError,

@@ -1,18 +1,22 @@
 """Round-trip serialization for cameras, tensors, and correspondences."""
 
+import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twoslit import io as tsio
 from twoslit.epipolar import EpipolarTensor
 from twoslit.errors import ValidationError
 from twoslit.io import (
     CSV_COLUMNS,
+    _csv_rows,
     _dumps,
     camera_from_dict,
     camera_to_dict,
@@ -186,6 +190,86 @@ def test_csv_bits_survive_any_finite_values(rows):
     corr = np.asarray(rows, float)
     back = correspondences_from_csv(io.StringIO(csv_text(corr)))
     assert np.array_equal(back, corr)
+
+
+def read_outcome(read, text, newline):
+    """The bits and shape read from the text, or the error raised."""
+    try:
+        values = read(io.StringIO(text, newline=newline))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes()
+
+
+def row_loop(stream):
+    reader = csv.reader(stream)
+    next(reader)
+    return _csv_rows(reader)
+
+
+_number_cells = (st.floats().map(repr) | st.floats(width=32).map("{:.17g}".format)
+                 | st.integers(-10**20, 10**20).map(str)
+                 | st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e309", "-1e-400",
+                                    "4.9e-324", "1.", ".5", "+0", "1" * 40 + ".5e-30"]))
+# pads and pieces that float() and numpy's C reader may disagree on: ASCII
+# separators, non-ASCII spaces and digits, quotes, comment and underscore marks
+_pads = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\x1f", "\xa0", "\u2003"])
+_odd_pieces = st.sampled_from(["", '"', "#", "_", "nan", "\u0661", "\x00", "1", "e", "-", "."])
+_padded = st.tuples(_pads, _number_cells, _pads).map("".join)
+_odd = st.tuples(_odd_pieces, _number_cells | _pads, _odd_pieces).map("".join)
+_clean_rows = st.lists(_number_cells, min_size=6, max_size=6)
+_padded_rows = st.lists(_number_cells | _padded, min_size=6, max_size=6)
+_odd_rows = st.lists(_number_cells | _padded | _odd, min_size=0, max_size=7)
+_line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_bodies(draw):
+    """Rows after the header: mostly plain number cells, sometimes padded or
+    odd cells, blank lines and mixed line ends."""
+    rows = draw(st.lists(_clean_rows, min_size=1, max_size=6)
+                | st.lists(_clean_rows | _padded_rows, min_size=1, max_size=6)
+                | st.lists(_clean_rows | _padded_rows | _odd_rows, min_size=1, max_size=6))
+    ends = draw(st.lists(_line_ends, min_size=len(rows), max_size=len(rows)))
+    last = draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
+    return "".join(",".join(row) + end for row, end in zip(rows, ends)) + last
+
+
+@given(csv_bodies(), st.sampled_from(["", "\n"]))
+@example("1,2,3,4,5,6\x1c\n", "")
+@example("1" * (csv.field_size_limit() + 1) + ",2,3,4,5,6\n", "")
+@example("1,2,3,4,5,6\r7,8,9,10,11,12\n", "\n")
+@settings(max_examples=400, deadline=None)
+def test_csv_reader_agrees_with_the_row_loop(body, newline):
+    """Whichever path reads a body, numpy's C reader or the row loop,
+    the bits or the error message are those of the row loop, for a file
+    opened with newline="" (as read_correspondences opens it) and for a
+    stream that splits lines at \\n only."""
+    text = ",".join(CSV_COLUMNS) + "\n" + body
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_outcome(correspondences_from_csv, text, newline)
+    assert got == read_outcome(row_loop, text, newline)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n\r", "\n\n\n"])
+def test_header_only_warns_nothing(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="no data rows"):
+            correspondences_from_csv(io.StringIO(",".join(CSV_COLUMNS) + "\n" + body,
+                                                 newline=""))
+
+
+def test_plain_numbers_skip_the_row_loop(rng, monkeypatch):
+    """A body of plain number cells never reaches the row loop."""
+    def no_loop(reader):
+        raise AssertionError("row loop called")
+
+    monkeypatch.setattr(tsio, "_csv_rows", no_loop)
+    corr = rng.normal(size=(50, 6))
+    text = csv_text(corr).replace("\n", "\r\n", 7)
+    assert np.array_equal(correspondences_from_csv(io.StringIO(text, newline="")), corr)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -49,6 +49,20 @@ class TestQuadricClass:
         with pytest.raises(ValidationError, match="nonzero"):
             DualAbsoluteQuadric(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 2.0**-565, 2.0**565],
+                             ids=["1e-170", "1e+170", "2^-565", "2^565"])
+    @pytest.mark.filterwarnings("error")
+    def test_scale_free(self, scale):
+        """A multiple whose squared entries underflow or overflow gives the
+        unit-scale quadric; a power-of-two multiple gives its bits."""
+        M = REFERENCE_Q @ OMEGA_DUAL @ REFERENCE_Q.T
+        unit = DualAbsoluteQuadric(M).matrix
+        scaled = DualAbsoluteQuadric(scale * M).matrix
+        if np.log2(scale).is_integer():
+            assert scaled.tobytes() == unit.tobytes()
+        else:
+            assert np.allclose(scaled, unit, rtol=0.0, atol=1e-15)
+
 
 def test_reference_frame_reproduces_published_quadric():
     M = REFERENCE_Q @ OMEGA_DUAL @ REFERENCE_Q.T
