@@ -19,6 +19,7 @@ from .congruence import QuadraticCamera, TwoSlitCongruence
 from .projective import COARSE_TOL, FIT_TOL, NEAR_TOL, TINY, TOL, ZERO_TOL
 from .projective import (
     RetinalFrame,
+    _gaps,
     as_array,
     as_vector,
     join_line_point,
@@ -29,7 +30,6 @@ from .projective import (
     plane_meet_plane,
     point_on_line,
     pow2_scaled,
-    scale_free_gap,
 )
 
 
@@ -42,7 +42,7 @@ def _check_rig(A):
     least the pair's s1), so one batched SVD decides for the whole rig;
     a camera with a non-finite entry enters it as zeros and fails, as
     does a zero pair. Only the first failing camera gets the per-pair
-    checks that name the fault."""
+    checks that name the fault; the error's `camera` is its index."""
     if A.ndim != 4 or A.shape[1:] != (2, 2, 4):
         raise ValidationError(f"camera stack must be (n, 2, 2, 4), got {A.shape}")
     B = A
@@ -54,15 +54,16 @@ def _check_rig(A):
     bad = s[:, 3] <= TOL * s[:, 0]
     if not bad.any():
         return
-    pair = tuple(zip(("A1", "A2"), A[np.argmax(bad)]))
-    for name, M in pair:
-        if not np.all(np.isfinite(M)):
-            raise ValidationError(f"{name} has non-finite entries")
-    for name, M in pair:
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[1] <= TOL * s[0]:
-            raise ValidationError(f"{name} is rank deficient; its null space is not a line")
-    raise ValidationError("slits intersect: the stacked 4x4 matrix is singular")
+    i = int(np.argmax(bad))
+    finite = np.isfinite(A[i]).all(axis=(1, 2))
+    s = np.linalg.svd(np.where(finite[:, None, None], A[i], 0.0), compute_uv=False)
+    faults = ([f"{name} has non-finite entries" for name, f in zip(("A1", "A2"), finite) if not f]
+              + [f"{name} is rank deficient; its null space is not a line"
+                 for name, (s1, s2) in zip(("A1", "A2"), s) if s2 <= TOL * s1]
+              + ["slits intersect: the stacked 4x4 matrix is singular"])
+    error = ValidationError(faults[0])
+    error.camera = i
+    raise error
 
 
 def _rig(A):
@@ -102,7 +103,7 @@ class TwoSlitCamera:
 def camera_distance(cam1, cam2):
     """The larger scale_free_gap of the two cameras' A1 and A2 matrices:
     each matrix counts only up to its own nonzero scale and sign."""
-    return max(scale_free_gap(cam1.A1, cam2.A1), scale_free_gap(cam1.A2, cam2.A2))
+    return float(_gaps(_stack((cam1,)).reshape(2, 8), _stack((cam2,)).reshape(2, 8)).max())
 
 
 def cameras_equal(cam1, cam2, tol=TOL):

@@ -13,7 +13,6 @@ matrix C of second rows, which is what the recovery routine inverts.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import DegeneracyError, ValidationError
 from .cameras import _rig, _stack
 from .projective import FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
-from .projective import as_array, negligible, pow2_scaled, scale_free_gap
+from .projective import _gaps, as_array, negligible, pow2_scaled
 
 MIN_CORRESPONDENCES = 15
 # the binary exponent the estimator gives a zero: nonzero floats have
@@ -73,7 +72,7 @@ def _normalized(values):
 
 def tensor_gap(t1, t2):
     """scale_free_gap of the two tensors' entries."""
-    return scale_free_gap(t1.values, t2.values)
+    return float(_gaps(t1.values.reshape(16), t2.values.reshape(16)))
 
 
 def tensors_equal(t1, t2, tol=TOL):
@@ -100,16 +99,19 @@ def _row_products(R):
     return (a[:, 0, :, None, :, None] * a[:, 1, None, :, None, :]).reshape(-1, 4, 16)
 
 
-def tensor_from_cameras(camA, camB):
-    """Exact tensor of two cameras: the 16 stacked-row determinants as
-    one contraction of the Levi-Civita symbol with the row products.
+def _tensors(R):
+    """(k, 4, 4) entries of the tensors of a (k, 2, 2, 2, 4) stack of
+    camera pairs: the 16 stacked-row determinants of each as one
+    contraction of the Levi-Civita symbol with the row products."""
+    P, Q = _row_products(R.reshape(-1, 2, 2, 4)).reshape(-1, 2, 4, 16).swapaxes(0, 1)
+    return P @ _EPSILON @ Q.swapaxes(1, 2)
 
-    Each determinant is a signed sum of products of four entries, which
-    keeps integer inputs exact; a factored elimination would round them.
-    """
-    P, Q = _row_products(_stack((camA, camB)))
-    F = P @ _EPSILON @ Q.T
-    return EpipolarTensor(F.reshape(2, 2, 2, 2))
+
+def tensor_from_cameras(camA, camB):
+    """Exact tensor of two cameras by _tensors: each determinant is a
+    signed sum of products of four entries, which keeps integer inputs
+    exact; a factored elimination would round them."""
+    return EpipolarTensor(_tensors(_stack((camA, camB))).reshape(2, 2, 2, 2))
 
 
 def _as_correspondences(correspondences):
@@ -240,20 +242,9 @@ class MinorMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        try:
-            C = np.asarray(self.matrix, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"minor matrix must be 4x4, got {exc}") from exc
-        if C.shape != (4, 4):
-            raise ValidationError(f"minor matrix must be 4x4, got {C.shape}")
-        rows = C.tolist()  # Python floats: numpy reductions of a 4x4 cost more
-        if not all(math.isfinite(x) for row in rows for x in row):
-            raise ValidationError("minor matrix has non-finite entries")
-        row_pinned = all(abs(x - 1.0) <= TOL for x in rows[0][1:])
-        col_pinned = all(abs(row[0] - 1.0) <= TOL for row in rows[1:])
-        if not (row_pinned or col_pinned):
-            raise ValidationError(
-                "first row or first column must be (c11, 1, 1, 1)")
+        C = as_array(self.matrix, (4, 4), "minor matrix")
+        if not (np.all(np.abs(C[0, 1:] - 1.0) <= TOL) or np.all(np.abs(C[1:, 0] - 1.0) <= TOL)):
+            raise ValidationError("first row or first column must be (c11, 1, 1, 1)")
         object.__setattr__(self, "matrix", C)
 
 
@@ -356,22 +347,28 @@ def recover_minor_matrices(tensor):
         C = np.concatenate([C, C.transpose(0, 2, 1)])
         res += res
     best = sorted(range(len(res)), key=res.__getitem__)[:8]
-    return [(MinorMatrix(C[i]), res[i]) for i in best]
+    C = C[best]
+    if not np.isfinite(C).all():
+        raise ValidationError("minor matrix has non-finite entries")
+    # pinned by construction: one check for the stack, none per candidate
+    minors = [object.__new__(MinorMatrix) for _ in best]
+    for m, c in zip(minors, C):
+        object.__setattr__(m, "matrix", c)
+    return list(zip(minors, [res[i] for i in best]))
 
 
-def _configurations(C):
-    """The normal-form camera pairs of a (k, 4, 4) stack of minor
-    matrices, checked as one rig: camera A is (e1, row 1 of C),
-    (e2, row 2), camera B the same with rows 3 and 4."""
+def _normal_forms(C):
+    """The (k, 2, 2, 2, 4) rig of the normal-form camera pairs of a
+    (k, 4, 4) stack of minor matrices, unchecked: camera A is
+    (e1, row 1 of C), (e2, row 2), camera B the same with rows 3 and 4."""
     R = np.empty((len(C), 4, 2, 4))
     R[:, :, 0], R[:, :, 1] = np.eye(4), C
-    cams = _rig(R.reshape(-1, 2, 2, 4))
-    return tuple(zip(cams[::2], cams[1::2]))
+    return R.reshape(-1, 2, 2, 2, 4)
 
 
 def cameras_from_minor_matrix(minor):
     """Normal-form camera pair whose tensor has these principal minors."""
-    return _configurations(minor.matrix[None])[0]
+    return tuple(_rig(_normal_forms(minor.matrix[None])[0]))
 
 
 def normal_form_transform(camA, camB):
@@ -421,7 +418,8 @@ def two_configurations(minor):
         companion = _companion(C)
     except DegeneracyError:
         companion = C.T
-    return _configurations(np.stack([C, companion]))
+    camA, camB, camA2, camB2 = _rig(_normal_forms(np.stack([C, companion])).reshape(4, 2, 2, 4))
+    return (camA, camB), (camA2, camB2)
 
 
 def _calibrations(*Ks):

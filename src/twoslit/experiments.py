@@ -16,18 +16,10 @@ import numpy as np
 
 from .errors import DegeneracyError, TwoSlitError, ValidationError
 from . import cameras
-from .cameras import _rig, _stack, camera_distance
-from .epipolar import (
-    _as_correspondences,
-    cameras_from_minor_matrix,
-    epipolar_residuals,
-    estimate_tensor_linear,
-    normal_form_transform,
-    recover_minor_matrices,
-    tensor_from_cameras,
-    tensor_gap,
-)
-from .projective import TOL, _count, as_array, pow2_scaled
+from .cameras import _stack
+from .epipolar import _as_correspondences, _normal_forms, _tensors, epipolar_residuals
+from .epipolar import estimate_tensor_linear, normal_form_transform, recover_minor_matrices
+from .projective import TOL, _count, _gaps, as_array, pow2_scaled
 from .selfcal import DualAbsoluteQuadric, _daq, _upgrade, similarity_defect
 from .synthetic import (
     RNG_ALGORITHM,
@@ -74,32 +66,16 @@ class SfmReport(_Report):
     error_kind: str = ""
 
 
-def _configuration_entry(index, minor, residual, tensor, truth, W_inv):
-    """A recovered configuration's entry, but for its reprojection_rms,
-    and the rig that scores it: the cameras in the ground-truth frame
-    when there is one."""
-    try:
-        camA, camB = cameras_from_minor_matrix(minor)
-    except ValidationError as exc:  # the recovery built these matrices, not the input
-        raise DegeneracyError(f"recovered configuration {index} fails the camera check: {exc}")
-    R = _stack((camA, camB))
-    entry = {
-        "minor_matrix": minor.matrix.tolist(),
-        "recovery_residual": float(residual),
-        "cameras": dict(zip(("A1", "A2", "B1", "B2"), R.reshape(4, 2, 4).tolist())),
-        "tensor_gap": tensor_gap(tensor_from_cameras(camA, camB), tensor),
-        "camera_gap": None,
-    }
-    if truth is not None:
-        # judge the configuration in the ground-truth frame, as one rig
-        R = R @ W_inv
-        camA, camB = _rig(R)
-        entry["camera_gap"] = max(camera_distance(camA, truth[0]),
-                                  camera_distance(camB, truth[1]))
-    return entry, R
-
-
 def run_sfm_pipeline(corr, report, truth=None):
+    """Fill `report` from a finite (n, 6) correspondence array and return
+    it with ok set, or raise the first TwoSlitError. The configurations of
+    the two best candidates are built, checked, compared and scored as one
+    (k, 2, 2, 2, 4) rig; with `truth`, the ground-truth camera pair, in
+    its frame. A configuration is reported, as if each were checked and
+    scored in turn, only if it and all before it were: the error is the
+    first in configuration order, and within one configuration that of
+    its camera check, then of its moved pair's check, then of its
+    triangulation."""
     tensor = estimate_tensor_linear(corr)
     report.estimated_tensor = tensor.flat().tolist()
     residuals = np.abs(epipolar_residuals(tensor, corr))
@@ -108,29 +84,40 @@ def run_sfm_pipeline(corr, report, truth=None):
     candidates = recover_minor_matrices(tensor)
     report.candidates = [
         {"matrix": m.matrix.tolist(), "residual": float(r)} for m, r in candidates]
-    # W is invertible: normal_form_transform rejects dependent first rows
-    W_inv = np.linalg.inv(normal_form_transform(*truth)) if truth is not None else None
-    entries, rigs, failure = [], [], None
-    for index, (minor, residual) in enumerate(candidates[:2]):
+    N = _normal_forms(np.array([m.matrix for m, _ in candidates[:2]]))
+    R, k, failure = N, len(N), None  # configurations 0 to k - 1 pass so far
+    try:
+        cameras._check_rig(N.reshape(-1, 2, 2, 4))
+    except ValidationError as exc:  # the recovery built these matrices, not the input
+        k = exc.camera // 2
+        failure = DegeneracyError(f"recovered configuration {k} fails the camera check: {exc}")
+    # a normal form's tensor is finite, and its f2222 is det I = 1
+    tensor_gaps = _gaps(_tensors(N[:k]).reshape(-1, 16), tensor.values.reshape(16)).tolist()
+    camera_gaps = [None] * k
+    if truth is not None:
+        # W is invertible: normal_form_transform rejects dependent first rows
+        R = N[:k] @ np.linalg.inv(normal_form_transform(*truth))
         try:
-            entry, R = _configuration_entry(index, minor, residual, tensor, truth, W_inv)
-        except TwoSlitError as exc:
-            failure = exc
-            break
-        entries.append(entry)
-        rigs.append(R)
-    # One pass scores every built configuration. A configuration is
-    # reported, as if each were checked and then scored in turn, only if
-    # it and all before it were scored; the first failure is raised.
-    _, r, error = _triangulate(np.reshape(rigs, (-1, 2, 2, 2, 4)), corr)
-    for entry, rc in zip(entries, r):
-        entry["reprojection_rms"] = _rms(rc)
-        report.configurations.append(entry)
+            cameras._check_rig(R.reshape(-1, 2, 2, 4))
+        except ValidationError as exc:
+            k, failure = exc.camera // 2, exc
+        camera_gaps = _gaps(R[:k].reshape(-1, 2, 2, 8),
+                            _stack(truth).reshape(2, 2, 8)).max(axis=(1, 2)).tolist()
+    # one pass scores the configurations that pass; the first failure is raised
+    _, r, error = _triangulate(R[:k], corr)
+    for i, rc in enumerate(r):
+        report.configurations.append({
+            "minor_matrix": candidates[i][0].matrix.tolist(),
+            "recovery_residual": float(candidates[i][1]),
+            "cameras": dict(zip(("A1", "A2", "B1", "B2"), N[i].reshape(4, 2, 4).tolist())),
+            "tensor_gap": tensor_gaps[i],
+            "camera_gap": camera_gaps[i],
+            "reprojection_rms": _rms(rc),
+        })
     if error or failure:
         raise error or failure
-    if truth is not None and report.configurations:
-        report.equivalent_configuration = int(np.argmin(
-            [c["camera_gap"] for c in report.configurations]))
+    if truth is not None:
+        report.equivalent_configuration = int(np.argmin(camera_gaps))
     report.ok = True
     return report
 

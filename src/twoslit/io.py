@@ -81,6 +81,8 @@ def correspondences_from_csv(stream):
         header = next(reader)
     except StopIteration:
         raise ValidationError("empty correspondence file") from None
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from exc
     header = [h.strip().lower() for h in header]
     if header != list(CSV_COLUMNS):
         raise ValidationError(
@@ -99,20 +101,24 @@ def correspondences_from_csv(stream):
 
 
 def _csv_rows(reader):
-    """Rows past the header, one float() per cell; the reference reader."""
+    """Rows past the header, one float() per cell; the reference reader.
+    A line that csv cannot split is a ValidationError too."""
     values = array("d")
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) == 6:
-            try:
-                # a failing row appends nothing unless it is not blank
-                values.extend(map(float, row))
-                continue
-            except ValueError as exc:
-                error = f"line {lineno}: {exc}"
-        else:
-            error = f"line {lineno}: expected 6 columns, got {len(row)}"
-        if "".join(row).strip():
-            raise ValidationError(error)
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) == 6:
+                try:
+                    # a failing row appends nothing unless it is not blank
+                    values.extend(map(float, row))
+                    continue
+                except ValueError as exc:
+                    error = f"line {lineno}: {exc}"
+            else:
+                error = f"line {lineno}: expected 6 columns, got {len(row)}"
+            if "".join(row).strip():
+                raise ValidationError(error)
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from exc
     if not values:
         raise ValidationError("correspondence file holds no data rows")
     return np.array(values).reshape(-1, 6)

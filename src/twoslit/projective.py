@@ -120,13 +120,21 @@ def _unsplit(out, e):
     return np.ldexp(out, e) if p.max() <= 1024 and p.min() >= -1021 else out
 
 
+def _gaps(a, b):
+    """scale_free_gap of each pair of rows of two broadcasting (..., m)
+    stacks of nonzero rows, as an array of their shape without m."""
+    a, b = pow2_scaled(a, axis=-1), pow2_scaled(b, axis=-1)  # no norm overflows or underflows
+    # a row's norm as sqrt(x.dot(x)), the bits of np.linalg.norm: a
+    # (1, m) @ (m, 1) product is that dot, where einsum rounds otherwise
+    a = a / np.sqrt(a[..., None, :] @ a[..., None])[..., 0]
+    b = b / np.sqrt(b[..., None, :] @ b[..., None])[..., 0]
+    return np.minimum(np.abs(a - b).max(axis=-1), np.abs(a + b).max(axis=-1))
+
+
 def scale_free_gap(a, b):
     """Largest entry difference of two nonzero arrays at unit Frobenius
     norm, minimized over both signs; 0 when they agree up to scale."""
-    a, b = pow2_scaled(a), pow2_scaled(b)  # so that no norm overflows or underflows
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+    return float(_gaps(np.reshape(a, -1), np.reshape(b, -1)))
 
 
 def join_points(x, y):

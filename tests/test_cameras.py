@@ -5,6 +5,7 @@ import pytest
 
 from twoslit.cameras import (
     TwoSlitCamera,
+    _check_rig,
     _images,
     _rig,
     _stack,
@@ -565,3 +566,19 @@ PUSHBROOM = ([[1.0, 0, 0, 0.7], [0, 0, 0, 1]], [[0.0, 1, 0, -0.2], [0, 0, 1, 1.1
 def test_camera_error_branches_end_in_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):
         call(TwoSlitCamera(*BASE_LINE_CAMERA))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda A: A.__setitem__((0, 1), np.inf), "A1 has non-finite entries"),
+    (lambda A: A.__setitem__((1, 1), A[1, 0]), "A2 is rank deficient"),
+    (lambda A: A.__setitem__(1, A[0, ::-1]), "slits intersect"),
+], ids=["non-finite", "rank-deficient", "intersecting"])
+def test_rig_check_names_the_first_failing_camera(fault, message, reference_pair):
+    """The error of a rig's check is that of its first failing camera,
+    and its index is the error's `camera`."""
+    R = np.tile(_stack(reference_pair), (3, 1, 1, 1))
+    fault(R[2])
+    fault(R[4])
+    with pytest.raises(ValidationError, match=f"^{message}") as info:
+        _check_rig(R)
+    assert info.value.camera == 2

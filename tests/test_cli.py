@@ -368,6 +368,16 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, command, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_csv_cell_past_the_field_size_limit_exits_2(capsys, tmp_path):
+    """A cell longer than csv.field_size_limit() ends in exit code 2."""
+    path = tmp_path / "long.csv"
+    path.write_text("u1,u2,u3,v1,v2,v3\n" + "1" * 140000 + ",2,3,4,5,6\n")
+    code, _, err = run(capsys, "tensor", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error: line 2: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_tensor_reads_synth_cameras(capsys, tmp_path):
     cams = tmp_path / "cams.json"
     assert run(capsys, "synth", "--points", "8", "--seed", "2",

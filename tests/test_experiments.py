@@ -20,12 +20,14 @@ from twoslit.congruence import GeneralCongruence
 from twoslit.epipolar import (
     EpipolarTensor,
     MinorMatrix,
+    cameras_from_minor_matrix,
     epipolar_residual,
     essential_decompose,
     estimate_tensor_linear,
     multilinear_transform,
     normal_form_transform,
     tensor_from_cameras,
+    tensor_gap,
 )
 from twoslit.errors import ValidationError
 from twoslit.experiments import (
@@ -362,12 +364,12 @@ def test_numpy_integer_camera_count_gives_the_int_report():
 
 
 def test_runs_check_each_rig_once(rig_checks):
-    """A scene's rig, each recovered configuration and its move into the
+    """A scene's rig, both recovered configurations and both moved into the
     truth frame, and a self-calibration rig with its noise: one camera
     check each."""
     assert run_sfm_experiment(SceneConfig(n_points=70, noise_sigma=0, seed=1,
                                           image_scale=100)).ok
-    assert rig_checks == [2] * 5
+    assert rig_checks == [2, 4, 4]
     rig_checks.clear()
     assert run_selfcal_experiment(SelfcalConfig(n_cameras=200, seed=1)).ok
     assert rig_checks == [200]
@@ -393,8 +395,8 @@ def test_selfcal_factorizations_do_not_grow_with_the_rig(monkeypatch):
 
 def test_truth_frame_costs_one_svd_per_configuration(monkeypatch):
     """With truth, run_sfm_pipeline makes one SVD more for the frame
-    (normal_form_transform) and one per configuration (its moved pair,
-    checked as one rig) than without."""
+    (normal_form_transform) and one for both configurations (their moved
+    pairs, checked as one rig) than without."""
     scene = generate_scene(SceneConfig(seed=4, image_scale=100))
     calls = []
     svd = np.linalg.svd
@@ -409,18 +411,22 @@ def test_truth_frame_costs_one_svd_per_configuration(monkeypatch):
         report = run_sfm_pipeline(scene.correspondences, SfmReport(), truth=truth)
         assert report.ok and len(report.configurations) == 2
         counts[truth is not None] = len(calls)
-    assert counts[True] - counts[False] == 1 + 2, counts
+    assert counts[True] - counts[False] == 1 + 1, counts
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_configurations_are_judged_as_moved_cameras(seed):
     """Each configuration's camera gap and reprojection RMS are those of
-    its two cameras moved one by one by apply_space_transform."""
+    its two cameras moved one by one by apply_space_transform, and its
+    tensor gap that of the tensor of its cameras."""
     config = SceneConfig(seed=seed, noise_sigma=1e-4, image_scale=100)
     truth = generate_scene(config).cameras
     report = run_sfm_experiment(config)
     W = normal_form_transform(*truth)
+    estimate = EpipolarTensor.from_flat(report.estimated_tensor)
     for entry in report.configurations:
+        pair = cameras_from_minor_matrix(MinorMatrix(entry["minor_matrix"]))
+        assert entry["tensor_gap"] == tensor_gap(tensor_from_cameras(*pair), estimate)
         cams = entry["cameras"]
         moved = [apply_space_transform(TwoSlitCamera(cams[a], cams[b]), W)
                  for a, b in (("A1", "A2"), ("B1", "B2"))]
@@ -510,17 +516,15 @@ def first_entry_kept(report, reference, error):
     assert "reprojection_rms" in report.configurations[0]
 
 
-def failing_second_call(monkeypatch):
-    """Make experiments.cameras_from_minor_matrix fail its second call."""
+def failing_second_configuration(monkeypatch):
+    """Make configuration 1 fail its camera check: the recovery's second
+    candidate becomes the all-ones matrix, whose slits intersect."""
     from twoslit import experiments
-    calls = []
 
-    def second_fails(minor, _original=experiments.cameras_from_minor_matrix):
-        calls.append(minor)
-        if len(calls) == 2:
-            raise ValidationError("made to fail")
-        return _original(minor)
-    monkeypatch.setattr(experiments, "cameras_from_minor_matrix", second_fails)
+    def second_fails(tensor, _original=experiments.recover_minor_matrices):
+        first, (_, residual), *rest = _original(tensor)
+        return [first, (MinorMatrix(np.ones((4, 4))), residual), *rest]
+    monkeypatch.setattr(experiments, "recover_minor_matrices", second_fails)
 
 
 def no_start_in(monkeypatch, configuration, n):
@@ -542,9 +546,9 @@ def test_a_failing_camera_check_keeps_the_configurations_before_it(monkeypatch):
     """Configuration 1 failing its camera check leaves configuration 0
     checked, judged and scored, as when each was scored in turn."""
     reference = run_sfm_experiment(CONFIG_70)
-    failing_second_call(monkeypatch)
+    failing_second_configuration(monkeypatch)
     first_entry_kept(run_sfm_experiment(CONFIG_70), reference,
-                     "recovered configuration 1 fails the camera check: made to fail")
+                     "recovered configuration 1 fails the camera check: slits intersect")
 
 
 def test_a_failing_triangulation_keeps_the_configurations_before_it(monkeypatch):
@@ -559,7 +563,7 @@ def test_a_failing_triangulation_keeps_the_configurations_before_it(monkeypatch)
 def test_a_triangulation_failure_comes_before_a_later_camera_check(monkeypatch):
     """Configuration 0 is scored before configuration 1 is checked: its
     triangulation failure is the error, and no configuration is kept."""
-    failing_second_call(monkeypatch)
+    failing_second_configuration(monkeypatch)
     no_start_in(monkeypatch, 0, 70)
     report = run_sfm_experiment(CONFIG_70)
     assert not report.ok and report.configurations == []

@@ -252,6 +252,19 @@ def test_csv_reader_agrees_with_the_row_loop(body, newline):
     assert got == read_outcome(row_loop, text, newline)
 
 
+@pytest.mark.parametrize("text, message", [
+    (",".join(CSV_COLUMNS) + "\n1,2,3\r4,5,6\n", "line 2: new-line character seen"),
+    ("u1,u2,u3\rv1,v2,v3\n1,2,3,4,5,6\n", "line 1: new-line character seen"),
+    (",".join(CSV_COLUMNS) + "\n" + "1" * 140000 + ",2,3,4,5,6\n",
+     "line 2: field larger than field limit"),
+], ids=["bare-cr-in-row", "bare-cr-in-header", "long-cell"])
+def test_lines_csv_cannot_split_are_invalid(text, message):
+    """A line csv.reader rejects, such as one with a bare \\r in a stream
+    that splits lines at \\n only, is a ValidationError naming the line."""
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        correspondences_from_csv(io.StringIO(text))
+
+
 @pytest.mark.parametrize("body", ["", "\n", "\r\n\n\r", "\n\n\n"])
 def test_header_only_warns_nothing(body):
     with warnings.catch_warnings():

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoslit.errors import ValidationError
 from twoslit.projective import (
     RetinalFrame,
+    _gaps,
     as_vector,
     cosine_distance,
     dual_matrix,
@@ -21,6 +22,7 @@ from twoslit.projective import (
     plane_meet_plane,
     plucker_pairing,
     point_on_line,
+    pow2_scaled,
     primal_matrix,
     proj_equal,
     quadric_residual,
@@ -242,3 +244,46 @@ def test_predicate_values_of_ordinary_operands_keep_their_bits(k, rng):
     s = 2.0 ** k
     assert cosine_distance(a * s, b * s) == cosine_distance(a, b)
     assert quadric_residual(l * s) == quadric_residual(l)
+
+
+def norm_gap(a, b):
+    """scale_free_gap with the norms of np.linalg.norm."""
+    a, b = pow2_scaled(a), pow2_scaled(b)
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+
+
+_gap_entries = st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
+@st.composite
+def gap_stacks(draw):
+    """Two (k, m) stacks of nonzero rows: b's rows are a's, a's moved a
+    little or far, or rows of their own; then each row of each stack
+    takes a random sign and a scale of 2^-1000, 2^-1, 1, 2 or 2^1000."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 17))
+    rows = st.lists(st.lists(_gap_entries, min_size=m, max_size=m).filter(any),
+                    min_size=k, max_size=k)
+    a, b = np.array(draw(rows)), np.array(draw(rows))
+    mix = draw(st.lists(st.sampled_from([0.0, 1e-9, 1.0, None]), min_size=k, max_size=k))
+    b = np.array([y if w is None else x + w * y for x, y, w in zip(a, b, mix)])
+    for x in (a, b):
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k))
+        exps = draw(st.lists(st.sampled_from([-1000, -1, 0, 1, 1000]), min_size=k, max_size=k))
+        x *= np.ldexp(signs, exps)[:, None]
+    return a, b
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(gap_stacks())
+@settings(max_examples=200, deadline=None)
+def test_gap_kernel_matches_the_scalar_gap_row_by_row(stacks):
+    """_gaps on stacks, broadcast or not, gives bit for bit the gap of each
+    row pair alone, and that gap is the one np.linalg.norm's norms give."""
+    a, b = stacks
+    assume(b.any(axis=1).all())  # a row moved by its own negative is zero
+    rows = [scale_free_gap(x, y) for x, y in zip(a, b)]
+    assert rows == [norm_gap(x, y) for x, y in zip(a, b)]
+    assert _gaps(a, b).tolist() == rows
+    assert _gaps(a[:, None], b[None]).tolist() == [
+        [scale_free_gap(x, y) for y in b] for x in a]
