@@ -33,16 +33,33 @@ from .projective import (
 )
 
 
+def _cleared(M, tol):
+    """Where a (..., 4, 4) stack is certainly nonsingular: True proves
+    s4 > tol * s1, False decides nothing. With F = |M|_F^2,
+    s2 s3 <= (F - s1^2) / 2 and s1^2 (F - s1^2) <= F^2 / 4, so
+    s4 / s1 = |det M| / (s1^2 s2 s3) >= 8 |det M| / F^2; the rule
+    4 |det M| > tol F^2 leaves a factor of 2 for the rounding of the
+    determinant, about 1e-15 at unit scale. M must be of unit scale,
+    as pow2_scaled makes it, so that F neither overflows nor underflows."""
+    F = (M * M).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore"):  # a zero pivot flags it, and det is then 0
+        d = np.linalg.det(M)
+    return 4.0 * np.abs(d) > tol * F * F
+
+
 def _check_rig(A):
     """Raise the ValidationError of the first invalid camera of an
     (n, 2, 2, 4) float stack of (A1, A2) pairs.
 
     A rank-deficient pair makes the stack of the unit-norm pairs
     singular too (the stack's s4 is at most the pair's s2, its s1 at
-    least the pair's s1), so one batched SVD decides for the whole rig;
-    a camera with a non-finite entry enters it as zeros and fails, as
-    does a zero pair. Only the first failing camera gets the per-pair
-    checks that name the fault; the error's `camera` is its index."""
+    least the pair's s1), so the stacks decide for the whole rig; a
+    camera with a non-finite entry enters as zeros and fails, as does a
+    zero pair. One batched determinant clears the stacks it can
+    (_cleared), and one batched SVD decides s4 <= TOL * s1 for the rest.
+    Only the first failing camera gets the per-pair checks that name the
+    fault; the error's `camera` is its index, and it carries the stack's
+    s4/s1 and TOL."""
     if A.ndim != 4 or A.shape[1:] != (2, 2, 4):
         raise ValidationError(f"camera stack must be (n, 2, 2, 4), got {A.shape}")
     B = A
@@ -50,18 +67,23 @@ def _check_rig(A):
         B = np.where(np.isfinite(A).all(axis=(1, 2, 3))[:, None, None, None], A, 0.0)
     B = pow2_scaled(B, axis=(2, 3))  # so that no squared norm overflows or underflows
     norms = np.sqrt((B * B).sum(axis=(2, 3), keepdims=True))
-    s = np.linalg.svd((B / np.maximum(norms, TINY)).reshape(-1, 4, 4), compute_uv=False)
+    U = (B / np.maximum(norms, TINY)).reshape(-1, 4, 4)
+    rest = np.flatnonzero(~_cleared(U, TOL))
+    if not len(rest):
+        return
+    s = np.linalg.svd(U[rest], compute_uv=False)
     bad = s[:, 3] <= TOL * s[:, 0]
     if not bad.any():
         return
-    i = int(np.argmax(bad))
+    j = int(np.argmax(bad))
+    i, ratio = int(rest[j]), s[j, 3] / max(s[j, 0], TINY)
     finite = np.isfinite(A[i]).all(axis=(1, 2))
     s = np.linalg.svd(np.where(finite[:, None, None], A[i], 0.0), compute_uv=False)
     faults = ([f"{name} has non-finite entries" for name, f in zip(("A1", "A2"), finite) if not f]
               + [f"{name} is rank deficient; its null space is not a line"
                  for name, (s1, s2) in zip(("A1", "A2"), s) if s2 <= TOL * s1]
               + ["slits intersect: the stacked 4x4 matrix is singular"])
-    error = ValidationError(faults[0])
+    error = ValidationError(faults[0]).measured("s4/s1", ratio, TOL)
     error.camera = i
     raise error
 
@@ -291,7 +313,8 @@ def _rq_2x3(M, rb=None):
     k11 = np.linalg.norm(res, axis=-1)
     if np.any(k11 < ZERO_TOL * np.linalg.norm(M, axis=(-2, -1))):
         raise ValidationError("camera rows share a direction; triangular form impossible")
-    K = np.stack([np.stack([k11, k12], -1), np.stack([np.zeros_like(k22), k22], -1)], -2)
+    K = np.zeros(k22.shape + (2, 2))
+    K[..., 0, 0], K[..., 0, 1], K[..., 1, 1] = k11, k12, k22
     return K, res / k11[..., None], rb
 
 
@@ -376,8 +399,9 @@ def decompose_pushbroom(camera):
 def apply_space_transform(camera, H):
     """Camera watching the scene moved by x -> H x (right-composes H^-1)."""
     H = as_array(H, (4, 4), "space transform")
-    s = np.linalg.svd(H, compute_uv=False)
-    if s[3] <= ZERO_TOL * s[0]:
-        raise ValidationError("space transform is singular")
+    if not _cleared(pow2_scaled(H), ZERO_TOL):
+        s = np.linalg.svd(H, compute_uv=False)
+        if s[3] <= ZERO_TOL * s[0]:
+            raise ValidationError("space transform is singular")
     Hinv = np.linalg.inv(H)
     return TwoSlitCamera(camera.A1 @ Hinv, camera.A2 @ Hinv)

@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import DegeneracyError, TwoSlitError, ValidationError
 from . import cameras
-from .cameras import _stack
+from .cameras import _cleared, _stack
 from .epipolar import _as_correspondences, _normal_forms, _tensors, epipolar_residuals
 from .epipolar import estimate_tensor_linear, normal_form_transform, recover_minor_matrices
-from .projective import TOL, _count, _gaps, as_array, pow2_scaled
-from .selfcal import DualAbsoluteQuadric, _daq, _upgrade, similarity_defect
+from .projective import TINY, TOL, _count, _gaps, as_array, pow2_scaled
+from .selfcal import OMEGA_DUAL, DualAbsoluteQuadric, _daq, _upgrade, similarity_defect
 from .synthetic import (
     RNG_ALGORITHM,
     SceneConfig,
@@ -91,6 +91,7 @@ def run_sfm_pipeline(corr, report, truth=None):
     except ValidationError as exc:  # the recovery built these matrices, not the input
         k = exc.camera // 2
         failure = DegeneracyError(f"recovered configuration {k} fails the camera check: {exc}")
+        failure.measured(exc.quantity, exc.value, exc.threshold)
     # a normal form's tensor is finite, and its f2222 is det I = 1
     tensor_gaps = _gaps(_tensors(N[:k]).reshape(-1, 16), tensor.values.reshape(16)).tolist()
     camera_gaps = [None] * k
@@ -198,9 +199,12 @@ def run_selfcal_experiment(config=SelfcalConfig()):
                 Q = rng.normal(size=(4, 4))
         else:
             Q = as_array(config.q_matrix, (4, 4), "q_matrix")
-            s = np.linalg.svd(pow2_scaled(Q), compute_uv=False)  # no scale of Q changes s4 / s1
-            if s[3] <= TOL * s[0]:
-                raise ValidationError("q_matrix must be an invertible 4x4 matrix")
+            P = pow2_scaled(Q)  # no scale of Q changes s4 / s1
+            if not _cleared(P, TOL):
+                s = np.linalg.svd(P, compute_uv=False)
+                if s[3] <= TOL * s[0]:
+                    error = ValidationError("q_matrix must be an invertible 4x4 matrix")
+                    raise error.measured("s4/s1", s[3] / max(s[0], TINY), TOL)
         report.q_true = Q.tolist()
         Q = pow2_scaled(Q)  # exact: no result below sees the frame's scale
         report.magnifications_true = list(map(tuple, K[:, :, 0, 0].tolist()))
@@ -211,11 +215,11 @@ def run_selfcal_experiment(config=SelfcalConfig()):
         if not np.isfinite(A).all():  # a draw overflowed
             raise ValidationError(f"noise_sigma {config.noise_sigma} overflows the cameras")
         cameras._check_rig(A)  # the only check of the rig, with its noise
-        report.cameras = [dict(zip(("A1", "A2"), pair)) for pair in A.tolist()]
+        report.cameras = [{"A1": a1, "A2": a2} for a1, a2 in A.tolist()]
 
         daq = _daq(A)
         report.daq = daq.matrix.tolist()
-        truth = DualAbsoluteQuadric(Q @ np.diag([1.0, 1, 1, 0]) @ Q.T).matrix
+        truth = DualAbsoluteQuadric(Q @ OMEGA_DUAL @ Q.T).matrix
         report.daq_true_gap = float(np.max(np.abs(daq.matrix - truth)))
 
         q_prime, lam, _, m = _upgrade(daq, A)

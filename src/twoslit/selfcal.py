@@ -30,6 +30,7 @@ from .projective import TINY, TOL, ZERO_TOL, as_array, pow2_scaled
 OMEGA_DUAL = np.diag([1.0, 1.0, 1.0, 0.0])
 DEGENERACY_TOL = 1e-6  # smallest ratio s9/s1 of the constraint system
 RANK_TOL = 1e-3  # eigenvalue ratio that separates the quadric's zero from its rank-3 part
+_TRIU = np.triu_indices(4)  # the ten distinct entries of a symmetric 4x4 matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,7 @@ def _daq(R):
     A = A / np.linalg.norm(A, axis=(1, 2), keepdims=True)
     # (A M A^T)[0, 1] = sum over a <= b of M[a, b] (P[a, b] + P[b, a]), P[a, a] once
     P = A[:, 0, :, None] * A[:, 1, None, :]
-    i, j = np.triu_indices(4)
+    i, j = _TRIU
     design = P[:, i, j] + np.where(i == j, 0.0, P[:, j, i])
     norms = np.linalg.norm(design, axis=1, keepdims=True)
     if np.min(norms) < TINY:

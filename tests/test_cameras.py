@@ -1,11 +1,16 @@
 """Linear two-slit cameras: projection, rays, transforms, decompositions."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoslit.cameras import (
     TwoSlitCamera,
     _check_rig,
+    _cleared,
     _images,
     _rig,
     _stack,
@@ -35,6 +40,7 @@ from twoslit.projective import (
     line_in_plane,
     lines_meet,
     point_on_line,
+    pow2_scaled,
     proj_equal,
 )
 from twoslit.synthetic import (
@@ -582,3 +588,84 @@ def test_rig_check_names_the_first_failing_camera(fault, message, reference_pair
     with pytest.raises(ValidationError, match=f"^{message}") as info:
         _check_rig(R)
     assert info.value.camera == 2
+
+
+def _near_singular(rng, ratios, spread):
+    """A (k, 4, 4) stack with s4 / s1 = ratios, s1 = 1 and s2, s3 drawn
+    log-uniformly between 2^-1/2 ratios^spread and 2^-1/2, in random
+    orthogonal frames. With spread 0 the determinant bound of _cleared
+    is tight for unit stacks: s2 = s3 = s1 / sqrt(2)."""
+    u = rng.uniform(0.0, spread, (len(ratios), 2))
+    s = np.sqrt(0.5) * np.asarray(ratios)[:, None] ** u
+    s = np.column_stack([np.ones(len(ratios)), s, ratios])
+    U, V = np.linalg.qr(rng.normal(size=(2, len(ratios), 4, 4)))[0]
+    return (U * s[:, None, :]) @ V
+
+
+def _unit_pairs(M):
+    """The stacks _check_rig decides on: each 2x4 pow2_scaled, then unit."""
+    B = pow2_scaled(M.reshape(-1, 2, 2, 4), axis=(2, 3))
+    return (B / np.sqrt((B * B).sum(axis=(2, 3), keepdims=True))).reshape(-1, 4, 4)
+
+
+RATIOS = st.lists(st.floats(-13.0, -5.0), min_size=1, max_size=8)
+EXPONENTS = st.lists(st.integers(-1000, 1000), min_size=16, max_size=16)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_ratios=RATIOS, exponents=EXPONENTS,
+       spread=st.floats(0.0, 1.0), per_pair=st.booleans(),
+       tol=st.sampled_from([TOL, ZERO_TOL]))
+def test_determinant_clears_no_matrix_the_svd_calls_deficient(
+        seed, log_ratios, exponents, spread, per_pair, tol):
+    """_cleared(M, tol) proves s4 > tol * s1, on 4x4 matrices near either
+    threshold whose 2x4 halves carry scales of up to 2^1000. It screens
+    either the unit pairs of _check_rig, which the SVD then decides on,
+    or the pow2_scaled whole matrix of a single site, whose SVD runs on
+    the unscaled input."""
+    rng = np.random.default_rng(seed)
+    M = _near_singular(rng, 10.0 ** np.array(log_ratios), spread)
+    M = np.ldexp(M.reshape(-1, 2, 2, 4),
+                 np.reshape(exponents[:2 * len(M)], (-1, 2, 1, 1))).reshape(-1, 4, 4)
+    if per_pair:
+        M = _unit_pairs(M)
+    s = np.linalg.svd(M, compute_uv=False)
+    cleared = _cleared(M if per_pair else pow2_scaled(M, axis=(1, 2)), tol)
+    assert not np.any(cleared & (s[:, 3] <= tol * s[:, 0]))
+
+
+def _outcome(R):
+    try:
+        _check_rig(R)
+    except ValidationError as error:
+        return str(error), error.camera, error.quantity, error.value, error.threshold
+    return None
+
+
+FAULTS = st.lists(st.sampled_from([None, None, "zero", "rank", "nan", "inf"]),
+                  min_size=8, max_size=8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_ratios=RATIOS, exponents=EXPONENTS,
+       spread=st.floats(0.0, 1.0), faults=FAULTS)
+def test_rig_check_decides_as_the_svd_alone(seed, log_ratios, exponents, spread, faults):
+    """_check_rig accepts and raises as it does when the determinant
+    clears nothing, with the same message, camera and s4/s1, on rigs
+    near TOL with zero, rank-deficient and non-finite pairs."""
+    rng = np.random.default_rng(seed)
+    R = _near_singular(rng, 10.0 ** np.array(log_ratios), spread).reshape(-1, 2, 2, 4)
+    R = np.ldexp(R, np.reshape(exponents[:2 * len(R)], (-1, 2, 1, 1)))
+    for A, fault in zip(R, faults):
+        pair = A[rng.integers(2)]
+        if fault == "zero":
+            pair[:] = 0.0
+        elif fault == "rank":
+            pair[1] = pair[0] * rng.normal()
+        elif fault in ("nan", "inf"):
+            pair[rng.integers(2), rng.integers(4)] = float(fault)
+    with mock.patch("twoslit.cameras._cleared", lambda M, tol: np.zeros(len(M), bool)):
+        expected = _outcome(R)
+    assert _outcome(R) == expected

@@ -29,7 +29,7 @@ from twoslit.epipolar import (
     tensor_from_cameras,
     tensor_gap,
 )
-from twoslit.errors import ValidationError
+from twoslit.errors import DegeneracyError, ValidationError
 from twoslit.experiments import (
     SelfcalConfig,
     SfmReport,
@@ -39,7 +39,7 @@ from twoslit.experiments import (
 )
 from twoslit.io import write_json
 from twoslit.golden import REFERENCE_MAGNIFICATIONS, REFERENCE_Q
-from twoslit.projective import RetinalFrame, cosine_distance
+from twoslit.projective import TOL, RetinalFrame, cosine_distance
 from twoslit.selfcal import DualAbsoluteQuadric, similarity_defect
 from twoslit.synthetic import (
     SceneConfig,
@@ -181,6 +181,20 @@ class TestSelfcalRunner:
             SelfcalConfig(n_cameras=6, q_matrix=tuple(np.zeros((4, 4)).tolist())))
         assert not report.ok
         assert report.error_kind == "validation"
+
+    @pytest.mark.parametrize("q, ratio", [(np.zeros((4, 4)), 0.0),
+                                          (np.diag([1.0, 1, 1, 1e-10]), 1e-10)])
+    def test_singular_q_matrix_error_carries_its_ratio(self, q, ratio, monkeypatch):
+        """The error recorded for a singular q_matrix carries the SVD's
+        s4/s1 and the threshold TOL it crossed."""
+        errors = []
+        monkeypatch.setattr("twoslit.experiments._record_failure",
+                            lambda report, exc: errors.append(exc))
+        run_selfcal_experiment(SelfcalConfig(n_cameras=6, q_matrix=tuple(q.tolist())))
+        (error,) = errors
+        assert str(error) == "q_matrix must be an invertible 4x4 matrix"
+        assert (error.quantity, error.threshold) == ("s4/s1", TOL)
+        assert error.value == pytest.approx(ratio, rel=1e-12)
 
     def test_report_serializes_to_json(self):
         report = run_selfcal_experiment(SelfcalConfig(n_cameras=6, seed=2))
@@ -394,17 +408,20 @@ def test_selfcal_factorizations_do_not_grow_with_the_rig(monkeypatch):
 
 
 def test_truth_frame_costs_one_svd_per_configuration(monkeypatch):
-    """With truth, run_sfm_pipeline makes one SVD more for the frame
-    (normal_form_transform) and one for both configurations (their moved
-    pairs, checked as one rig) than without."""
+    """With truth, run_sfm_pipeline makes one factorization more for the
+    frame (normal_form_transform) and one for both configurations (their
+    moved pairs, checked as one rig) than without. A rank test counts as
+    its determinant plus the SVDs of what the determinant cannot clear."""
     scene = generate_scene(SceneConfig(seed=4, image_scale=100))
     calls = []
-    svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    def counting(f):
+        def wrapped(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return f(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "det", counting(np.linalg.det))
     counts = {}
     for truth in (None, scene.cameras):
         calls.clear()
@@ -549,6 +566,17 @@ def test_a_failing_camera_check_keeps_the_configurations_before_it(monkeypatch):
     failing_second_configuration(monkeypatch)
     first_entry_kept(run_sfm_experiment(CONFIG_70), reference,
                      "recovered configuration 1 fails the camera check: slits intersect")
+
+
+def test_a_failing_camera_check_error_carries_its_ratio(monkeypatch):
+    """The degeneracy raised for a recovered configuration that fails its
+    camera check carries the rig check's s4/s1 and TOL."""
+    failing_second_configuration(monkeypatch)
+    scene = generate_scene(CONFIG_70)
+    with pytest.raises(DegeneracyError, match="recovered configuration 1") as info:
+        run_sfm_pipeline(scene.correspondences, SfmReport())
+    assert (info.value.quantity, info.value.threshold) == ("s4/s1", TOL)
+    assert 0.0 <= info.value.value <= TOL
 
 
 def test_a_failing_triangulation_keeps_the_configurations_before_it(monkeypatch):
