@@ -47,6 +47,17 @@ def _cleared(M, tol):
     return 4.0 * np.abs(d) > tol * F * F
 
 
+def _rank_ratio(M, tol):
+    """s4 / s1 of a 4x4 matrix, or None where _cleared proves it exceeds
+    tol. Both run on the pow2_scaled copy, as no scale of M changes
+    s4 / s1; the caller compares the ratio with its own threshold."""
+    M = pow2_scaled(M)
+    if _cleared(M, tol):
+        return None
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[3] / max(s[0], TINY)
+
+
 def _check_rig(A):
     """Raise the ValidationError of the first invalid camera of an
     (n, 2, 2, 4) float stack of (A1, A2) pairs.
@@ -58,8 +69,7 @@ def _check_rig(A):
     zero pair. One batched determinant clears the stacks it can
     (_cleared), and one batched SVD decides s4 <= TOL * s1 for the rest.
     Only the first failing camera gets the per-pair checks that name the
-    fault; the error's `camera` is its index, and it carries the stack's
-    s4/s1 and TOL."""
+    fault; the error's `camera` is its index."""
     if A.ndim != 4 or A.shape[1:] != (2, 2, 4):
         raise ValidationError(f"camera stack must be (n, 2, 2, 4), got {A.shape}")
     B = A
@@ -75,15 +85,14 @@ def _check_rig(A):
     bad = s[:, 3] <= TOL * s[:, 0]
     if not bad.any():
         return
-    j = int(np.argmax(bad))
-    i, ratio = int(rest[j]), s[j, 3] / max(s[j, 0], TINY)
+    i = int(rest[np.argmax(bad)])
     finite = np.isfinite(A[i]).all(axis=(1, 2))
     s = np.linalg.svd(np.where(finite[:, None, None], A[i], 0.0), compute_uv=False)
     faults = ([f"{name} has non-finite entries" for name, f in zip(("A1", "A2"), finite) if not f]
               + [f"{name} is rank deficient; its null space is not a line"
                  for name, (s1, s2) in zip(("A1", "A2"), s) if s2 <= TOL * s1]
               + ["slits intersect: the stacked 4x4 matrix is singular"])
-    error = ValidationError(faults[0]).measured("s4/s1", ratio, TOL)
+    error = ValidationError(faults[0])
     error.camera = i
     raise error
 
@@ -399,9 +408,8 @@ def decompose_pushbroom(camera):
 def apply_space_transform(camera, H):
     """Camera watching the scene moved by x -> H x (right-composes H^-1)."""
     H = as_array(H, (4, 4), "space transform")
-    if not _cleared(pow2_scaled(H), ZERO_TOL):
-        s = np.linalg.svd(H, compute_uv=False)
-        if s[3] <= ZERO_TOL * s[0]:
-            raise ValidationError("space transform is singular")
+    s = np.linalg.svd(H, compute_uv=False)
+    if s[3] <= ZERO_TOL * s[0]:
+        raise ValidationError("space transform is singular")
     Hinv = np.linalg.inv(H)
     return TwoSlitCamera(camera.A1 @ Hinv, camera.A2 @ Hinv)

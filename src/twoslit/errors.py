@@ -7,16 +7,7 @@ Two families matter operationally: bad or out-of-contract input
 
 
 class TwoSlitError(Exception):
-    """Base class for all package errors. An error raised by a rank test
-    carries what it measured: the quantity's name, its value and the
-    threshold it crossed; on other errors the three are None."""
-
-    quantity = value = threshold = None
-
-    def measured(self, quantity, value, threshold):
-        """This error, carrying the measured quantity, value and threshold."""
-        self.quantity, self.value, self.threshold = quantity, float(value), threshold
-        return self
+    """Base class for all package errors."""
 
 
 class ValidationError(TwoSlitError, ValueError):

@@ -11,6 +11,7 @@ from twoslit.cameras import (
     TwoSlitCamera,
     _check_rig,
     _cleared,
+    _rank_ratio,
     _images,
     _rig,
     _stack,
@@ -639,7 +640,7 @@ def _outcome(R):
     try:
         _check_rig(R)
     except ValidationError as error:
-        return str(error), error.camera, error.quantity, error.value, error.threshold
+        return str(error), error.camera
     return None
 
 
@@ -653,7 +654,7 @@ FAULTS = st.lists(st.sampled_from([None, None, "zero", "rank", "nan", "inf"]),
        spread=st.floats(0.0, 1.0), faults=FAULTS)
 def test_rig_check_decides_as_the_svd_alone(seed, log_ratios, exponents, spread, faults):
     """_check_rig accepts and raises as it does when the determinant
-    clears nothing, with the same message, camera and s4/s1, on rigs
+    clears nothing, with the same message and camera, on rigs
     near TOL with zero, rank-deficient and non-finite pairs."""
     rng = np.random.default_rng(seed)
     R = _near_singular(rng, 10.0 ** np.array(log_ratios), spread).reshape(-1, 2, 2, 4)
@@ -669,3 +670,31 @@ def test_rig_check_decides_as_the_svd_alone(seed, log_ratios, exponents, spread,
     with mock.patch("twoslit.cameras._cleared", lambda M, tol: np.zeros(len(M), bool)):
         expected = _outcome(R)
     assert _outcome(R) == expected
+
+
+@pytest.mark.parametrize("eps, cleared, ok", [(8e-9, True, True), (3e-9, False, True),
+                                              (5e-10, False, False)])
+def test_near_intersecting_slits_are_decided_by_determinant_or_svd(eps, cleared, ok):
+    """Both matrices are well conditioned, and the stack of the unit
+    pairs has s4/s1 = eps / 2: the determinant clears 8e-9, the SVD
+    accepts 3e-9 and rejects 5e-10."""
+    A1, A2 = [[1.0, 0, 0, 0], [0, 1, 0, 0]], [[0.0, 0, 1, 0], [0, 1, 0, eps]]
+    assert _cleared(_unit_pairs(np.array([A1, A2])), TOL).tolist() == [cleared]
+    if ok:
+        TwoSlitCamera(A1, A2)
+    else:
+        with pytest.raises(ValidationError, match="^slits intersect"):
+            TwoSlitCamera(A1, A2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
+@pytest.mark.parametrize("last, ratio", [(1e-8, None), (2e-9, 2e-9), (1e-10, 1e-10), (0.0, 0.0)])
+def test_rank_ratio_is_none_only_where_the_determinant_clears(scale, last, ratio):
+    """_rank_ratio gives the SVD's s4/s1 at any scale unless the
+    determinant proves it above tol: 4 |det| > tol F^2 with F = 3."""
+    r = _rank_ratio(np.diag([1.0, 1, 1, last]) * scale, TOL)
+    if ratio is None:
+        assert r is None
+    else:
+        assert r == pytest.approx(ratio, rel=1e-9, abs=0.0)

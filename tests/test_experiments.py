@@ -29,7 +29,7 @@ from twoslit.epipolar import (
     tensor_from_cameras,
     tensor_gap,
 )
-from twoslit.errors import DegeneracyError, ValidationError
+from twoslit.errors import ValidationError
 from twoslit.experiments import (
     SelfcalConfig,
     SfmReport,
@@ -39,7 +39,7 @@ from twoslit.experiments import (
 )
 from twoslit.io import write_json
 from twoslit.golden import REFERENCE_MAGNIFICATIONS, REFERENCE_Q
-from twoslit.projective import TOL, RetinalFrame, cosine_distance
+from twoslit.projective import RetinalFrame, cosine_distance
 from twoslit.selfcal import DualAbsoluteQuadric, similarity_defect
 from twoslit.synthetic import (
     SceneConfig,
@@ -182,19 +182,12 @@ class TestSelfcalRunner:
         assert not report.ok
         assert report.error_kind == "validation"
 
-    @pytest.mark.parametrize("q, ratio", [(np.zeros((4, 4)), 0.0),
-                                          (np.diag([1.0, 1, 1, 1e-10]), 1e-10)])
-    def test_singular_q_matrix_error_carries_its_ratio(self, q, ratio, monkeypatch):
-        """The error recorded for a singular q_matrix carries the SVD's
-        s4/s1 and the threshold TOL it crossed."""
-        errors = []
-        monkeypatch.setattr("twoslit.experiments._record_failure",
-                            lambda report, exc: errors.append(exc))
-        run_selfcal_experiment(SelfcalConfig(n_cameras=6, q_matrix=tuple(q.tolist())))
-        (error,) = errors
-        assert str(error) == "q_matrix must be an invertible 4x4 matrix"
-        assert (error.quantity, error.threshold) == ("s4/s1", TOL)
-        assert error.value == pytest.approx(ratio, rel=1e-12)
+    def test_nearly_singular_q_matrix_reported(self):
+        """At s4/s1 = 1e-10 the determinant cannot clear q_matrix, and the
+        SVD rejects it."""
+        report = run_selfcal_experiment(
+            SelfcalConfig(n_cameras=6, q_matrix=tuple(np.diag([1.0, 1, 1, 1e-10]).tolist())))
+        assert report.error == "q_matrix must be an invertible 4x4 matrix"
 
     def test_report_serializes_to_json(self):
         report = run_selfcal_experiment(SelfcalConfig(n_cameras=6, seed=2))
@@ -566,17 +559,6 @@ def test_a_failing_camera_check_keeps_the_configurations_before_it(monkeypatch):
     failing_second_configuration(monkeypatch)
     first_entry_kept(run_sfm_experiment(CONFIG_70), reference,
                      "recovered configuration 1 fails the camera check: slits intersect")
-
-
-def test_a_failing_camera_check_error_carries_its_ratio(monkeypatch):
-    """The degeneracy raised for a recovered configuration that fails its
-    camera check carries the rig check's s4/s1 and TOL."""
-    failing_second_configuration(monkeypatch)
-    scene = generate_scene(CONFIG_70)
-    with pytest.raises(DegeneracyError, match="recovered configuration 1") as info:
-        run_sfm_pipeline(scene.correspondences, SfmReport())
-    assert (info.value.quantity, info.value.threshold) == ("s4/s1", TOL)
-    assert 0.0 <= info.value.value <= TOL
 
 
 def test_a_failing_triangulation_keeps_the_configurations_before_it(monkeypatch):
