@@ -20,12 +20,13 @@ from .projective import COARSE_TOL, FIT_TOL, NEAR_TOL, TINY, TOL, ZERO_TOL
 from .projective import (
     RetinalFrame,
     _gaps,
+    _join_line_point,
+    _meet_line_plane,
+    _plane_meet_plane,
+    _wedge,
     as_array,
     as_vector,
-    join_line_point,
-    join_points,
     line_in_plane,
-    meet_line_plane,
     negligible,
     plane_meet_plane,
     point_on_line,
@@ -181,11 +182,8 @@ def project(camera, x):
 
 def slits(camera):
     """Plucker coordinates of the two slit lines (null spaces of A1, A2)."""
-    out = []
-    for A in (camera.A1, camera.A2):
-        _, _, Vt = np.linalg.svd(A)
-        out.append(join_points(Vt[2], Vt[3]))
-    return out[0], out[1]
+    _, _, Vt = np.linalg.svd(np.stack([camera.A1, camera.A2]))
+    return tuple(_wedge(Vt[:, 2], Vt[:, 3]))
 
 
 def inverse_ray(camera, u):
@@ -199,27 +197,25 @@ def inverse_ray(camera, u):
     q1, q2 = camera.A2
     w1 = u[2] * p1 - u[0] * p2
     w2 = u[2] * q1 - u[1] * q2
-    l1, l2 = slits(camera)
     if negligible(w2, np.linalg.norm(u) * np.linalg.norm(camera.A2)):
-        return l2
+        return slits(camera)[1]
     if negligible(w1, np.linalg.norm(u) * np.linalg.norm(camera.A1)):
-        return l1
+        return slits(camera)[0]
     return plane_meet_plane(w1, w2)
 
 
 def base_line(camera):
     """Line p2 = q2 = 0 common to all admissible retinal planes."""
-    return plane_meet_plane(camera.A1[1], camera.A2[1])
+    return _plane_meet_plane(camera.A1[1], camera.A2[1])
 
 
 def default_retinal_plane(camera):
     """Plane of the admissible pencil through a fixed generic probe point."""
     b = base_line(camera)
-    for probe in ((1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, -1.0), (0.0, 0.0, 0.0, 1.0),
-                  (1.0, 2.0, 3.0, 4.0)):
-        z = np.asarray(probe)
+    for z in np.array([(1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, -1.0), (0.0, 0.0, 0.0, 1.0),
+                       (1.0, 2.0, 3.0, 4.0)]):
         if not point_on_line(b, z, tol=COARSE_TOL):
-            return join_line_point(b, z)
+            return _join_line_point(b, z)
     raise ValidationError("no usable default retinal plane found")
 
 
@@ -243,9 +239,9 @@ def to_quadratic(camera, plane=None):
             raise ValidationError("retinal plane must contain the base line")
 
     l1, l2 = slits(camera)
-    y1 = meet_line_plane(l2, plane)
-    y2 = meet_line_plane(l1, plane)
-    y3 = meet_line_plane(plane_meet_plane(p1, q1), plane)
+    y1 = _meet_line_plane(l2, plane)
+    y2 = _meet_line_plane(l1, plane)
+    y3 = _meet_line_plane(_plane_meet_plane(p1, q1), plane)
 
     pairs = ((p1, y1), (q1, y2), (p2, y3), (q2, y3))
     if any(negligible(r @ y, np.linalg.norm(r) * np.linalg.norm(y), ZERO_TOL) for r, y in pairs):

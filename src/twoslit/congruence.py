@@ -19,31 +19,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .projective import COARSE_TOL, ZERO_TOL
+from .projective import COARSE_TOL, TOL, ZERO_TOL
 from .projective import (
     RetinalFrame,
     _count,
+    _dot,
+    _dual,
+    _incident,
+    _join_line_point,
+    _meet_line_plane,
+    _plane_meet_plane,
+    _primal,
+    _through,
     as_array,
     as_vector,
-    dual_matrix,
-    join_line_point,
     join_points,
-    line_in_plane,
+    line_to_image_map,
     lines_meet,
-    meet_line_plane,
     negligible,
-    plane_meet_plane,
     point_on_line,
-    primal_matrix,
+    pow2_scaled,
     proj_equal,
     validate_line,
 )
-
-
-def _form_eval(coeffs, x1, x2):
-    """Evaluate a homogeneous bivariate form; coeffs[k] scales x1^(m-k) x2^k."""
-    m = coeffs.size - 1
-    return float(sum(c * x1 ** (m - k) * x2 ** k for k, c in enumerate(coeffs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +75,10 @@ class GeneralCongruence:
 
     def companion_point(self, x):
         x = as_vector(x, 4, "point")
-        fv = _form_eval(self.f, x[0], x[1])
-        return np.array([
-            x[0] * fv,
-            x[1] * fv,
-            _form_eval(self.g, x[0], x[1]),
-            _form_eval(self.h, x[0], x[1]),
-        ])
+        # each form times its monomial vector, x1^(m - k) x2^k for k = 0..m
+        f, g, h = (c @ (x[0] ** np.arange(c.size - 1, -1, -1) * x[1] ** np.arange(c.size))
+                   for c in (self.f, self.g, self.h))
+        return np.array([x[0] * f, x[1] * f, g, h])
 
 
 def essential_map_general(congruence, x):
@@ -94,8 +89,7 @@ def essential_map_general(congruence, x):
     """
     x = as_vector(x, 4, "point")
     z = congruence.companion_point(x)
-    coeff = max(np.linalg.norm(congruence.f) if congruence.beta else 0.0,
-                np.linalg.norm(congruence.g), np.linalg.norm(congruence.h))
+    coeff = max(np.linalg.norm(c) for c in (congruence.f, congruence.g, congruence.h))
     if negligible(z, coeff * np.linalg.norm(x) ** congruence.beta):
         raise ValidationError("base point: companion point vanishes")
     if proj_equal(x, z):
@@ -126,49 +120,35 @@ class TwoSlitCongruence:
 def two_slit_essential(congruence, x):
     """Transversal through x to both slits: meet of the planes x v slit_i."""
     x = as_vector(x, 4, "point")
-    if point_on_line(congruence.slit1, x):
-        raise ValidationError("point lies on the first slit; its ray is undetermined")
-    if point_on_line(congruence.slit2, x):
-        raise ValidationError("point lies on the second slit; its ray is undetermined")
-    a = join_line_point(congruence.slit1, x)
-    b = join_line_point(congruence.slit2, x)
-    return plane_meet_plane(a, b)
+    a = _through(_dual, congruence.slit1, x, "point lies on the first slit; its ray is undetermined")
+    b = _through(_dual, congruence.slit2, x, "point lies on the second slit; its ray is undetermined")
+    return _plane_meet_plane(a, b)
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticCamera:
-    """Two-slit congruence plus a retinal frame; projects by quadratic forms."""
+    """Two-slit congruence plus a retinal frame; projects by quadratic forms x^T P1* S_i P2* x,
+    built at construction: P1*, P2* dual to the slits, S_i to the rows of line_to_image_map(frame)."""
 
     congruence: TwoSlitCongruence
     frame: RetinalFrame
 
     def __post_init__(self):
-        for l in (self.congruence.slit1, self.congruence.slit2):
-            if line_in_plane(l, self.frame.plane):
-                raise ValidationError("a slit lies in the retinal plane")
-
-    def _matrices(self):
-        y1, y2, y3 = self.frame.points
-        S = (
-            primal_matrix(join_points(y2, y3)),
-            primal_matrix(join_points(y3, y1)),
-            primal_matrix(join_points(y1, y2)),
-        )
-        P1s = dual_matrix(self.congruence.slit1)
-        P2s = dual_matrix(self.congruence.slit2)
-        return P1s, S, P2s
+        slits = np.stack([self.congruence.slit1, self.congruence.slit2])
+        L, w = pow2_scaled(slits, axis=-1), pow2_scaled(self.frame.plane)
+        if _incident(_primal(L) @ w, L, w, TOL).any():
+            raise ValidationError("a slit lies in the retinal plane")
+        S = _dual(line_to_image_map(self.frame))
+        object.__setattr__(self, "_forms", (*_dual(slits), S, max(np.linalg.norm(Si) for Si in S),
+                                            np.linalg.norm(slits[0]) * np.linalg.norm(slits[1])))
 
 
 def quadratic_project(camera, x):
     """Image of x: three quadratic forms u_i = x^T P1* S_i P2* x."""
     x = as_vector(x, 4, "point")
-    P1s, S, P2s = camera._matrices()
-    a = P1s @ x
-    b = P2s @ x
-    u = np.array([a @ Si @ b for Si in S])
-    scale = np.linalg.norm(x) ** 2 * max(np.linalg.norm(Si) for Si in S)
-    scale *= np.linalg.norm(camera.congruence.slit1) * np.linalg.norm(camera.congruence.slit2)
-    if negligible(u, scale):
+    P1s, P2s, S, s_max, slit_norms = camera._forms
+    u = _dot(P1s @ x @ S, P2s @ x)
+    if negligible(u, np.linalg.norm(x) ** 2 * s_max * slit_norms):
         if point_on_line(camera.congruence.slit1, x) or point_on_line(
                 camera.congruence.slit2, x):
             raise ValidationError("point lies on a slit; projection undefined")
@@ -184,24 +164,23 @@ def inverse_project(camera, u):
     geometric limit.
     """
     x = camera.frame.point(u)
-    if point_on_line(camera.congruence.slit1, x):
-        return camera.congruence.slit1.copy()
-    if point_on_line(camera.congruence.slit2, x):
-        return camera.congruence.slit2.copy()
+    for l in (camera.congruence.slit1, camera.congruence.slit2):
+        if point_on_line(l, x):
+            return l.copy()
     return two_slit_essential(camera.congruence, x)
 
 
 def _third_point(congruence, frame, y1h, y2h):
     """Deterministic choice of an on-plane point off both slits and off y1h v y2h."""
-    base = join_points(y1h, y2h)
+    L = pow2_scaled(np.stack([join_points(y1h, y2h), congruence.slit1, congruence.slit2]), axis=-1)
     weights = [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (2.0, -1.0, 1.0), (1.0, 0.0, 0.0),
                (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (3.0, 5.0, -2.0)]
     for w in weights:
         y = frame.basis @ np.asarray(w)
         if np.linalg.norm(y) < ZERO_TOL:
             continue
-        if not any(point_on_line(l, y, tol=COARSE_TOL)
-                   for l in (base, congruence.slit1, congruence.slit2)):
+        z = pow2_scaled(y)
+        if not _incident(_dual(L) @ z, L, z, COARSE_TOL).any():
             return y
     raise ValidationError("could not find a generic third point on the retinal plane")
 
@@ -215,35 +194,30 @@ def transversal_homography(congruence, frame, target_plane, target_frame=None):
     canonical target frame H is the identity.
     """
     target_plane = as_vector(target_plane, 4, "plane")
-    if proj_equal(target_plane, frame.plane):
-        if target_frame is None:
-            return np.eye(3), frame
-        H = np.stack([target_frame.coords(frame.basis[:, i]) for i in range(3)], axis=1)
-        return H, target_frame
+    carried = frame
+    if not proj_equal(target_plane, frame.plane):
+        delta = _plane_meet_plane(frame.plane, target_plane)
+        for l in (congruence.slit1, congruence.slit2):
+            if not lines_meet(delta, l):
+                raise ValidationError(
+                    "the planes' common line misses a slit; the transfer map is "
+                    "quadratic there, not a homography")
 
-    delta = plane_meet_plane(frame.plane, target_plane)
-    for l in (congruence.slit1, congruence.slit2):
-        if not lines_meet(delta, l):
-            raise ValidationError(
-                "the planes' common line misses a slit; the transfer map is "
-                "quadratic there, not a homography")
+        y1h = _meet_line_plane(congruence.slit2, frame.plane)
+        y2h = _meet_line_plane(congruence.slit1, frame.plane)
+        y3h = _third_point(congruence, frame, y1h, y2h)
+        p1 = _join_line_point(congruence.slit1, y3h)
+        p2 = -_join_line_point(congruence.slit1, y1h)
+        q1 = _join_line_point(congruence.slit2, y3h)
+        q2 = -_join_line_point(congruence.slit2, y2h)
 
-    pi = frame.plane
-    y1h = meet_line_plane(congruence.slit2, pi)
-    y2h = meet_line_plane(congruence.slit1, pi)
-    y3h = _third_point(congruence, frame, y1h, y2h)
-    p1 = join_line_point(congruence.slit1, y3h)
-    p2 = -join_line_point(congruence.slit1, y1h)
-    q1 = join_line_point(congruence.slit2, y3h)
-    q2 = -join_line_point(congruence.slit2, y2h)
+        y1t = -_meet_line_plane(_plane_meet_plane(p2, q1), target_plane)
+        y2t = -_meet_line_plane(_plane_meet_plane(p1, q2), target_plane)
+        y3t = _meet_line_plane(_plane_meet_plane(p1, q1), target_plane)
 
-    y1t = -meet_line_plane(plane_meet_plane(p2, q1), target_plane)
-    y2t = -meet_line_plane(plane_meet_plane(p1, q2), target_plane)
-    y3t = meet_line_plane(plane_meet_plane(p1, q1), target_plane)
-
-    intrinsic = RetinalFrame(np.stack([y1h, y2h, y3h], axis=1))
-    G = np.stack([intrinsic.coords(frame.basis[:, i]) for i in range(3)], axis=1)
-    carried = RetinalFrame(np.stack([y1t, y2t, y3t], axis=1) @ G)
+        intrinsic = RetinalFrame(np.stack([y1h, y2h, y3h], axis=1))
+        G = np.stack([intrinsic.coords(frame.basis[:, i]) for i in range(3)], axis=1)
+        carried = RetinalFrame(np.stack([y1t, y2t, y3t], axis=1) @ G)
 
     if target_frame is None:
         return np.eye(3), carried

@@ -14,6 +14,7 @@ performed on residuals normalized by the magnitudes of the operands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -104,18 +105,12 @@ def pow2_scaled(a, axis=None):
     return np.ldexp(a, -np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1])
 
 
-def _split(v):
-    """(v / 2^e, e), where e puts the largest absolute entry of v / 2^e
-    in [0.5, 1): the exact division of pow2_scaled."""
-    e = int(np.frexp(np.abs(v).max())[1])
-    return np.ldexp(v, -e), e
-
-
-def _unsplit(out, e):
-    """out times 2^e, where every nonzero entry stays a normal float, as
-    it does for operands of ordinary size: exact, so a join or meet of
-    _split operands keeps the bits of the unscaled one. out itself
-    otherwise; the result counts only up to scale."""
+def _unsplit(out, *operands):
+    """out, a product of pow2_scaled operands, times the powers of two they
+    were divided by, where every nonzero entry stays a normal float: exact,
+    so a join or meet of ordinary operands keeps its bits. out itself
+    otherwise, which counts only up to scale."""
+    e = sum(int(np.frexp(np.abs(v).max())[1]) for v in operands)
     p = np.frexp(out[out != 0])[1] + e
     return np.ldexp(out, e) if p.max() <= 1024 and p.min() >= -1021 else out
 
@@ -124,10 +119,7 @@ def _gaps(a, b):
     """scale_free_gap of each pair of rows of two broadcasting (..., m)
     stacks of nonzero rows, as an array of their shape without m."""
     a, b = pow2_scaled(a, axis=-1), pow2_scaled(b, axis=-1)  # no norm overflows or underflows
-    # a row's norm as sqrt(x.dot(x)), the bits of np.linalg.norm: a
-    # (1, m) @ (m, 1) product is that dot, where einsum rounds otherwise
-    a = a / np.sqrt(a[..., None, :] @ a[..., None])[..., 0]
-    b = b / np.sqrt(b[..., None, :] @ b[..., None])[..., 0]
+    a, b = (v / np.sqrt(_dot(v, v))[..., None] for v in (a, b))
     return np.minimum(np.abs(a - b).max(axis=-1), np.abs(a + b).max(axis=-1))
 
 
@@ -135,6 +127,66 @@ def scale_free_gap(a, b):
     """Largest entry difference of two nonzero arrays at unit Frobenius
     norm, minimized over both signs; 0 when they agree up to scale."""
     return float(_gaps(np.reshape(a, -1), np.reshape(b, -1)))
+
+
+def _dot(a, b):
+    """a . b over the last axis of broadcasting stacks of C-ordered rows, by
+    (1, m) @ (m, 1) products: the bits of np.dot and np.linalg.norm."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+# line coordinate k is a_i b_j - a_j b_i for i = _I[k], j = _J[k]; _STAR swaps the halves
+_I, _J = [3, 3, 3, 1, 2, 0], [0, 1, 2, 2, 0, 1]
+_STAR = [3, 4, 5, 0, 1, 2]
+# primal matrix entry (r, c) is _SIGN[r, c] l[_PRIMAL[r, c]]; index 6 reads a zero
+_PRIMAL = np.array([[6, 5, 4, 0], [5, 6, 3, 1], [4, 3, 6, 2], [0, 1, 2, 6]])
+_SIGN = np.array([[1.0, 1, -1, -1], [-1, 1, 1, -1], [1, -1, 1, -1], [1, 1, 1, 1]])
+
+
+def _wedge(a, b):
+    """a_i b_j - a_j b_i of broadcasting (..., 4) stacks, in C order as _primal's:
+    the join of points a and b, and the dual coordinates of the meet of planes."""
+    return np.ascontiguousarray(a[..., _I] * b[..., _J] - b[..., _I] * a[..., _J])
+
+
+def _primal(l):
+    """(..., 4, 4) primal matrices of (..., 6) lines; L @ w meets l with w.
+    np.take returns them in C order, where l[..., _PRIMAL] does not, and
+    matmul rounds a product of other layouts otherwise."""
+    l = np.concatenate([l, np.zeros(l.shape[:-1] + (1,))], axis=-1)
+    return _SIGN * np.take(l, _PRIMAL, axis=-1)
+
+
+def _dual(l):
+    """Dual matrices L*, the primal ones of the starred lines; L* @ z joins l and z."""
+    return _primal(l[..., _STAR])
+
+
+def _incident(r, a, b, tol):
+    """Where |r| < tol |a| |b| over broadcasting stacks, r a residual of the
+    pow2_scaled operands a and b: the relative test of every incidence predicate."""
+    return np.sqrt(_dot(r, r)) < tol * (np.sqrt(_dot(a, a)) * np.sqrt(_dot(b, b)))
+
+
+def _span(x, y, error):
+    """_wedge of two checked 4-vectors, or ValidationError(error) where
+    proj_equal holds: the body of join_points and plane_meet_plane, run on
+    pow2_scaled operands whose scales _unsplit restores."""
+    xs, ys = pow2_scaled(x), pow2_scaled(y)
+    if 1.0 - abs(float(xs @ ys)) / (np.linalg.norm(xs) * np.linalg.norm(ys)) < TOL:
+        raise ValidationError(error)
+    return _unsplit(_wedge(xs, ys), x, y)
+
+
+def _through(matrix, l, v, error):
+    """matrix(l) @ v of a checked line and 4-vector, or ValidationError(error)
+    where it is negligible: the body of meet_line_plane (matrix _primal)
+    and join_line_point (_dual), scaled as _span is."""
+    ls, vs = pow2_scaled(l), pow2_scaled(v)
+    p = matrix(ls) @ vs
+    if _incident(p, ls, vs, TOL):
+        raise ValidationError(error)
+    return _unsplit(p, l, v)
 
 
 def join_points(x, y):
@@ -150,46 +202,34 @@ def join_points(x, y):
     ndarray, shape (6,)
         (l41, l42, l43, l23, l31, l12) with l_ij = x_i y_j - x_j y_i.
     """
-    (x, ex), (y, ey) = _split(as_vector(x, 4, "point")), _split(as_vector(y, 4, "point"))
-    if proj_equal(x, y):
-        raise ValidationError("coincident points do not span a line")
-    L = np.outer(x, y) - np.outer(y, x)
-    return _unsplit(line_from_primal(L), ex + ey)
+    return _span(as_vector(x, 4, "point"), as_vector(y, 4, "point"),
+                 "coincident points do not span a line")
 
 
 def line_from_primal(L):
     """Extract Plucker coordinates from an antisymmetric primal matrix."""
-    L = as_array(L, (4, 4), "primal matrix")
-    return np.array([L[3, 0], L[3, 1], L[3, 2], L[1, 2], L[2, 0], L[0, 1]])
+    return as_array(L, (4, 4), "primal matrix")[_I, _J]
 
 
 def line_star(l):
     """Dual Plucker coordinates: swap the (l41,l42,l43) and (l23,l31,l12) halves."""
-    l = as_vector(l, 6, "line")
-    return np.concatenate([l[3:], l[:3]])
+    return as_vector(l, 6, "line")[_STAR]
 
 
 def primal_matrix(l):
     """Antisymmetric 4x4 matrix L of a line; L @ w is the meet of l with plane w."""
-    l41, l42, l43, l23, l31, l12 = as_vector(l, 6, "line")
-    return np.array([
-        [0.0, l12, -l31, -l41],
-        [-l12, 0.0, l23, -l42],
-        [l31, -l23, 0.0, -l43],
-        [l41, l42, l43, 0.0],
-    ])
+    return _primal(as_vector(l, 6, "line"))
 
 
 def dual_matrix(l):
     """Antisymmetric 4x4 matrix L*; L* @ z is the join of l with point z."""
-    return primal_matrix(line_star(l))
+    return _dual(as_vector(l, 6, "line"))
 
 
 def quadric_residual(l):
     """Scale-free residual of the quadric constraint; ~0 for genuine lines."""
     l = pow2_scaled(as_vector(l, 6, "line"))
-    n = float(l @ l)
-    return abs(float(l @ line_star(l))) / n
+    return abs(float(l @ l[_STAR])) / float(l @ l)
 
 
 def validate_line(l):
@@ -201,54 +241,48 @@ def validate_line(l):
 
 def plucker_pairing(l, m):
     """Bilinear pairing l . star(m); zero iff the two lines meet."""
-    l = as_vector(l, 6, "line")
-    m = as_vector(m, 6, "line")
-    return float(l @ line_star(m))
+    return float(as_vector(l, 6, "line") @ as_vector(m, 6, "line")[_STAR])
 
 
 def lines_meet(l, m, tol=TOL):
     l, m = pow2_scaled(as_vector(l, 6, "line")), pow2_scaled(as_vector(m, 6, "line"))
-    return negligible(plucker_pairing(l, m), np.linalg.norm(l) * np.linalg.norm(m), tol)
+    return _incident(_dot(l, m[_STAR])[..., None], l, m, tol)
 
 
 def point_on_line(l, x, tol=TOL):
     """True when x is incident with l (the join degenerates)."""
     l, x = pow2_scaled(as_vector(l, 6, "line")), pow2_scaled(as_vector(x, 4, "point"))
-    return negligible(dual_matrix(l) @ x, np.linalg.norm(l) * np.linalg.norm(x), tol)
+    return _incident(_dual(l) @ x, l, x, tol)
 
 
 def line_in_plane(l, w, tol=TOL):
     """True when every point of l lies on the plane w."""
     l, w = pow2_scaled(as_vector(l, 6, "line")), pow2_scaled(as_vector(w, 4, "plane"))
-    return negligible(primal_matrix(l) @ w, np.linalg.norm(l) * np.linalg.norm(w), tol)
+    return _incident(_primal(l) @ w, l, w, tol)
+
+
+# meet_line_plane, join_line_point and plane_meet_plane of checked arrays
+_meet_line_plane = partial(_through, _primal, error="line lies in the plane; their meet is not a point")
+_join_line_point = partial(_through, _dual, error="point lies on the line; their join is not a plane")
+
+
+def _plane_meet_plane(u, v):
+    return _span(u, v, "coincident planes do not meet in a line")[_STAR]
 
 
 def meet_line_plane(l, w):
     """Intersection point of a line with a plane not containing it."""
-    (l, el), (w, ew) = _split(as_vector(l, 6, "line")), _split(as_vector(w, 4, "plane"))
-    p = primal_matrix(l) @ w
-    if negligible(p, np.linalg.norm(l) * np.linalg.norm(w)):
-        raise ValidationError("line lies in the plane; their meet is not a point")
-    return _unsplit(p, el + ew)
+    return _meet_line_plane(as_vector(l, 6, "line"), as_vector(w, 4, "plane"))
 
 
 def join_line_point(l, z):
     """Plane spanned by a line and a point not on it."""
-    (l, el), (z, ez) = _split(as_vector(l, 6, "line")), _split(as_vector(z, 4, "point"))
-    w = dual_matrix(l) @ z
-    if negligible(w, np.linalg.norm(l) * np.linalg.norm(z)):
-        raise ValidationError("point lies on the line; their join is not a plane")
-    return _unsplit(w, el + ez)
+    return _join_line_point(as_vector(l, 6, "line"), as_vector(z, 4, "point"))
 
 
 def plane_meet_plane(u, v):
     """Plucker coordinates of the line where two distinct planes intersect."""
-    (u, eu), (v, ev) = _split(as_vector(u, 4, "plane")), _split(as_vector(v, 4, "plane"))
-    if proj_equal(u, v):
-        raise ValidationError("coincident planes do not meet in a line")
-    # u v^T - v u^T is the *dual* matrix of the intersection line.
-    M = np.outer(u, v) - np.outer(v, u)
-    return _unsplit(line_star(line_from_primal(M)), eu + ev)
+    return _plane_meet_plane(as_vector(u, 4, "plane"), as_vector(v, 4, "plane"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,13 +299,14 @@ class RetinalFrame:
 
     def __post_init__(self):
         Y = as_array(self.basis, (4, 3), "frame basis")
-        s = np.linalg.svd(Y, compute_uv=False)
+        # collinearity, which no scale of a point changes, is decided on unit columns
+        U = pow2_scaled(Y, axis=0)
+        _, s, Vt = np.linalg.svd((U / np.maximum(np.linalg.norm(U, axis=0), TINY)).T)
         if s[2] < ZERO_TOL * s[0]:
             raise ValidationError("frame points are collinear or coincident")
         object.__setattr__(self, "basis", Y)
         if self.plane is None:
-            # null space of Y^T: the plane through all three points
-            _, _, Vt = np.linalg.svd(Y.T)
+            # null space of U^T: the plane through all three points
             object.__setattr__(self, "plane", Vt[3])
         else:
             w = as_vector(self.plane, 4, "plane")
@@ -281,10 +316,7 @@ class RetinalFrame:
 
     @classmethod
     def from_points(cls, y1, y2, y3):
-        Y = np.stack([as_vector(y1, 4, "point"),
-                      as_vector(y2, 4, "point"),
-                      as_vector(y3, 4, "point")], axis=1)
-        return cls(Y)
+        return cls(np.stack([as_vector(y, 4, "point") for y in (y1, y2, y3)], axis=1))
 
     @property
     def points(self):
@@ -311,9 +343,5 @@ def line_to_image_map(frame):
     applying the matrix to a line l through the plane point y computes
     the frame coordinates of y without knowing y itself.
     """
-    y1, y2, y3 = frame.points
-    return np.stack([
-        line_star(join_points(y2, y3)),
-        line_star(join_points(y3, y1)),
-        line_star(join_points(y1, y2)),
-    ])
+    Y = frame.basis.T
+    return np.take(_wedge(Y[[1, 2, 0]], Y[[2, 0, 1]]), _STAR, axis=-1)
