@@ -75,10 +75,14 @@ class GeneralCongruence:
 
     def companion_point(self, x):
         x = as_vector(x, 4, "point")
-        # each form times its monomial vector, x1^(m - k) x2^k for k = 0..m
-        f, g, h = (c @ (x[0] ** np.arange(c.size - 1, -1, -1) * x[1] ** np.arange(c.size))
-                   for c in (self.f, self.g, self.h))
-        return np.array([x[0] * f, x[1] * f, g, h])
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+            # each form times its monomial vector, x1^(m - k) x2^k for k = 0..m
+            f, g, h = (c @ (x[0] ** np.arange(c.size - 1, -1, -1) * x[1] ** np.arange(c.size))
+                       for c in (self.f, self.g, self.h))
+            z = np.array([x[0] * f, x[1] * f, g, h])
+        if not np.all(np.isfinite(z)):
+            raise ValidationError("companion point overflows a float")
+        return z
 
 
 def essential_map_general(congruence, x):
@@ -90,7 +94,9 @@ def essential_map_general(congruence, x):
     x = as_vector(x, 4, "point")
     z = congruence.companion_point(x)
     coeff = max(np.linalg.norm(c) for c in (congruence.f, congruence.g, congruence.h))
-    if negligible(z, coeff * np.linalg.norm(x) ** congruence.beta):
+    with np.errstate(over="ignore"):  # a finite z is negligible beside an infinite scale
+        scale = coeff * np.linalg.norm(x) ** congruence.beta
+    if negligible(z, scale):
         raise ValidationError("base point: companion point vanishes")
     if proj_equal(x, z):
         raise ValidationError("base point: ray through x is undetermined")

@@ -344,4 +344,8 @@ def line_to_image_map(frame):
     the frame coordinates of y without knowing y itself.
     """
     Y = frame.basis.T
-    return np.take(_wedge(Y[[1, 2, 0]], Y[[2, 0, 1]]), _STAR, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        S = np.take(_wedge(Y[[1, 2, 0]], Y[[2, 0, 1]]), _STAR, axis=-1)
+    if not np.all(np.isfinite(S)):
+        raise ValidationError("a row of the image map overflows a float")
+    return S

@@ -167,15 +167,22 @@ def generate_scene(config=SceneConfig(), cameras=None):
 def _linearize(ND, t, x):
     """Residuals (N.x)/(D.x) - t of (m, 4) points through their own
     numerator rows N and denominator rows D, stacked as ND (m, 8, 4), inf
-    where a point images at infinity, and their (m, 4, 4) Jacobians. The
-    products are an einsum, not a BLAS call: a row's bits do not depend
-    on how many rows share the call."""
+    where a point images at infinity, and the row products nd = ND x
+    (m, 8) that _jacobians takes. The products are an einsum, not a BLAS
+    call: a row's bits do not depend on how many rows share the call."""
     nd = np.einsum("mij,mj->mi", ND, x)
     num, den = nd[:, :4], nd[:, 4:]
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(np.abs(den) > ROUNDOFF * np.hypot(num, den), num / den - t, np.inf)
-        J = (ND[:, :4] * den[..., None] - ND[:, 4:] * num[..., None]) / (den ** 2)[..., None]
-    return r, J
+    return r, nd
+
+
+def _jacobians(ND, nd):
+    """(m, 4, 4) Jacobians of the residuals of _linearize at the points
+    whose row products are nd."""
+    num, den = nd[:, :4], nd[:, 4:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (ND[:, :4] * den[..., None] - ND[:, 4:] * num[..., None]) / (den ** 2)[..., None]
 
 
 def _gauss_newton_steps(J, r, x):
@@ -235,8 +242,10 @@ def _triangulate(R, correspondences):
     R, and the DegeneracyError of configuration j, the first that fails,
     or None where j = c: the configurations that triangulating one pair
     after another would finish. All c n points share one _start_points
-    call, then per pass one _linearize of the live points and at most one
-    _gauss_newton_steps, for the points that won their trial and go on.
+    call, and only those whose start cost is above rounding a first
+    _gauss_newton_steps; then per pass one _linearize of the live points
+    and at most one _gauss_newton_steps, for the points that won their
+    trial and go on.
     """
     # each (z, w) pair to a largest entry in [0.5, 1) by an exact power
     # of two, which neither its unit plane nor t = z / w sees
@@ -252,7 +261,7 @@ def _triangulate(R, correspondences):
     planes /= np.linalg.norm(planes, axis=2, keepdims=True)
     x = _start_points(planes, ND[:, 4:6])
     t = z / w
-    r, J = _linearize(ND, t, x)
+    r, nd = _linearize(ND, t, x)
     failed = np.flatnonzero(~np.all(np.isfinite(r), axis=1))
     j = failed[0] // n if failed.size else c
     error = None if j == c else DegeneracyError(
@@ -261,16 +270,20 @@ def _triangulate(R, correspondences):
     m = j * n
     ND, t, x, r = ND[:m], t[:m], x[:m], r[:m]
     cost = np.sum(r * r, axis=1)
-    step = _gauss_newton_steps(J[:m], r, x)
+    # a start cost within rounding of its residuals, the rounding scale
+    # of `settled` below, is one no step can move: its point ends here
+    live = np.flatnonzero(cost > ROUNDOFF * np.sum(np.abs(t) * np.abs(r), axis=1))
+    step = np.empty((m, 4))
+    if live.size:
+        step[live] = _gauss_newton_steps(_jacobians(ND[live], nd[live]), r[live], x[live])
     length = np.ones(m)
-    live = np.arange(m)
     for _ in range(MAX_PASSES):
         if not live.size:
             break
         tried = length[live] * np.linalg.norm(step[live], axis=1)
         trial = x[live] + length[live, None] * step[live]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        rt, Jt = _linearize(ND[live], t[live], trial)
+        rt, ndt = _linearize(ND[live], t[live], trial)
         ct = np.sum(rt * rt, axis=1)
         # a finite trial cost within rounding of the cost ends the point
         with np.errstate(invalid="ignore"):  # 0 inf: t = 0 where a trial images at infinity
@@ -284,7 +297,8 @@ def _triangulate(R, correspondences):
         length[live[~better]] *= 0.5
         go = better & stays
         if np.any(go):
-            step[live[go]] = _gauss_newton_steps(Jt[go], rt[go], trial[go])
+            step[live[go]] = _gauss_newton_steps(
+                _jacobians(ND[live[go]], ndt[go]), rt[go], trial[go])
         live = live[stays]
     return x.reshape(j, n, 4), r.reshape(j, n, 4), error
 
@@ -298,14 +312,16 @@ def triangulate_points(camA, camB, correspondences):
     u3 p1 - u1 p2 for u1/u3. A point starts near the least-squares common
     point of its four unit planes, from the points where three of them
     meet (_start_points, no factorization), exact for noiseless data.
-    Gauss-Newton on the unit sphere refines all points at once, one
-    batched 4x4 solve per pass, halving a point's step until it lowers
-    the residual. A point stops after trying a step shorter than STEP_TOL
-    or once a trial changes its cost by no more than rounding, ROUNDOFF
-    sum |t| (|r| + |r_trial|) over its measured ratios t; only points
-    that go on get a new step. Every product is per point, the residual
-    rows by einsum rather than BLAS, so a point's bits do not depend on
-    its batch.
+    A point whose start cost sum r^2 is at most ROUNDOFF sum |t| |r| over
+    its measured ratios t is at rounding, where no step can move it: it
+    keeps its start. Gauss-Newton on the unit sphere refines the others
+    at once, one batched 4x4 solve per pass, halving a point's step until
+    it lowers the residual. A point stops after trying a step shorter
+    than STEP_TOL or once a trial changes its cost by no more than
+    rounding, ROUNDOFF sum |t| (|r| + |r_trial|); only points that go on
+    get a Jacobian and a new step. Every product is per point, the
+    residual rows by einsum rather than BLAS, so a point's bits do not
+    depend on its batch.
     """
     x, r, error = _triangulate(_stack((camA, camB))[None], correspondences)
     if error is not None:

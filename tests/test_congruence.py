@@ -88,6 +88,20 @@ class TestGeneralCongruence:
         assert point_on_line(ray, x)
         assert point_on_line(ray, cong.companion_point(x))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_companion_point_that_overflows_is_invalid(self):
+        cong = GeneralCongruence(beta=4, f=[1, 0, 0, 1], g=[1, 0, 0, 0, 1], h=[0, 1, 0, 0, 1])
+        with pytest.raises(ValidationError, match="companion point overflows"):
+            essential_map_general(cong, [1e100, 1e100, 1, 1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_companion_point_negligible_beside_an_overflowing_scale(self):
+        """|x|^beta overflows while the companion point stays finite: it
+        vanishes beside x, a base point, with no warning."""
+        cong = GeneralCongruence(beta=4, f=[1, 0, 0, 1], g=[1, 0, 0, 0, 1], h=[0, 1, 0, 0, 1])
+        with pytest.raises(ValidationError, match="companion point vanishes"):
+            essential_map_general(cong, [1, 1, 1e80, 1e80])
+
     def test_base_point_detected(self):
         cong = GeneralCongruence(beta=0, f=[], g=[1.0], h=[0.0])
         with pytest.raises(ValidationError, match="base point"):

@@ -174,6 +174,15 @@ def test_line_to_image_map_reads_off_coordinates(rng):
     assert proj_equal(got, u, tol=1e-7)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_image_map_row_that_overflows_is_invalid():
+    """A frame whose base points differ in scale by 1e200 is valid, but
+    the join of its two large points overflows a float."""
+    frame = RetinalFrame(np.eye(4)[:, :3] * [1e200, 1, 1e200])
+    with pytest.raises(ValidationError, match="image map overflows"):
+        line_to_image_map(frame)
+
+
 def test_line_to_image_map_unit_frame_golden():
     frame = RetinalFrame(np.array([
         [1.0, 0.0, 0.0],

@@ -36,7 +36,7 @@ from twoslit.synthetic import (
     triangulate_points,
 )
 from twoslit import golden, synthetic
-from twoslit.projective import ZERO_TOL
+from twoslit.projective import ROUNDOFF, ZERO_TOL
 from twoslit.synthetic import _gauss_newton_steps
 
 
@@ -445,12 +445,68 @@ class TestTriangulationBatches:
         assert max(counts) <= 6, counts
 
     def test_no_step_for_a_point_that_stops(self, monkeypatch):
-        """Noiseless points start exact and stop on their first trial, so
-        the only Gauss-Newton steps are those of the start."""
+        """Noiseless points start at rounding, a cost no step can move, so
+        they take no Gauss-Newton step at all."""
         steps = recorded(monkeypatch, "_gauss_newton_steps")
         scene = generate_scene(SceneConfig(n_points=70, noise_sigma=0.0, seed=0, image_scale=100))
         triangulate_points(*scene.cameras, scene.correspondences)
-        assert steps == [70]
+        assert steps == []
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-5, 1e-3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_jacobians_only_for_the_points_that_step(self, seed, sigma, monkeypatch):
+        """Each Jacobian stack that _jacobians builds is the one the next
+        _gauss_newton_steps call solves with, call by call: no point gets
+        a Jacobian without a step."""
+        built, solved = [], []
+
+        def jacobians(*args, _kernel=synthetic._jacobians):
+            built.append(_kernel(*args))
+            return built[-1]
+
+        def steps(J, r, x, _kernel=synthetic._gauss_newton_steps):
+            solved.append(J)
+            return _kernel(J, r, x)
+        monkeypatch.setattr(synthetic, "_jacobians", jacobians)
+        monkeypatch.setattr(synthetic, "_gauss_newton_steps", steps)
+        for n in (70, 280):
+            scene = generate_scene(SceneConfig(n_points=n, noise_sigma=sigma, seed=seed,
+                                               image_scale=100))
+            report = run_sfm_experiment(SceneConfig(n_points=n, noise_sigma=sigma, seed=seed,
+                                                    image_scale=100))
+            assert report.ok
+            triangulate_points(*scene.cameras, scene.correspondences)
+        assert len(built) == len(solved)
+        assert all(len(J) and J is K for J, K in zip(built, solved))
+        if sigma:
+            assert built
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_point_at_rounding_keeps_its_start(self, seed, sigma, monkeypatch):
+        """A point whose start cost is within rounding of its residuals,
+        ROUNDOFF sum |t| |r|, is returned as _start_points made it, with
+        its start residuals, bit for bit."""
+        starts, linearized = [], []
+
+        def start(*args, _kernel=synthetic._start_points):
+            starts.append(_kernel(*args))
+            return starts[-1].copy()  # triangulation updates its points in place
+
+        def linearize(ND, t, x, _kernel=synthetic._linearize):
+            r, nd = _kernel(ND, t, x)
+            linearized.append((t, r.copy()))
+            return r, nd
+        monkeypatch.setattr(synthetic, "_start_points", start)
+        monkeypatch.setattr(synthetic, "_linearize", linearize)
+        scene = generate_scene(SceneConfig(n_points=280, noise_sigma=sigma, seed=seed,
+                                           image_scale=100))
+        X, r = triangulate_points(*scene.cameras, scene.correspondences)
+        t, r0 = linearized[0]
+        at_rounding = np.sum(r0 * r0, axis=1) <= ROUNDOFF * np.sum(np.abs(t) * np.abs(r0), axis=1)
+        assert np.array_equal(X[at_rounding], starts[0][at_rounding])
+        assert np.array_equal(r[at_rounding], r0[at_rounding])
+        assert np.any(at_rounding) == (sigma == 0)
 
 
 def pinv_steps(J, r):
