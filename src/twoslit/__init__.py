@@ -15,7 +15,6 @@ from .projective import (
     dual_matrix,
     join_line_point,
     join_points,
-    line_from_primal,
     line_in_plane,
     line_star,
     line_to_image_map,
@@ -109,10 +108,10 @@ __version__ = "0.1.0"
 __all__ = [
     "DegeneracyError", "TwoSlitError", "ValidationError",
     "RetinalFrame", "cosine_distance", "dual_matrix", "join_line_point",
-    "join_points", "line_from_primal", "line_in_plane", "line_star",
-    "line_to_image_map", "lines_meet", "meet_line_plane", "plane_meet_plane",
-    "plucker_pairing", "point_on_line", "primal_matrix", "proj_equal",
-    "quadric_residual", "validate_line",
+    "join_points", "line_in_plane", "line_star", "line_to_image_map",
+    "lines_meet", "meet_line_plane", "plane_meet_plane", "plucker_pairing",
+    "point_on_line", "primal_matrix", "proj_equal", "quadric_residual",
+    "validate_line",
     "GeneralCongruence", "QuadraticCamera", "TwoSlitCongruence",
     "essential_map_general", "inverse_project", "quadratic_project",
     "transversal_homography", "two_slit_essential",

@@ -148,6 +148,30 @@ def epipolar_residuals(tensor, correspondences, normalized=True):
         return np.where(denom == 0.0, np.inf, val / denom)
 
 
+def _form(T, x):
+    """The epipolar form F of (..., 4, 4) tensors, rows ab and columns cd,
+    at (..., 4) inhomogeneous points (a, b, c, d) = (u1/u3, u2/u3, v1/v3,
+    v2/v3), its gradient (..., 4), and the rounding scale of each: the sum
+    of the absolute values of its terms. F is degree 1 in each coordinate:
+    contracting the modes one by one, d first, leaves each partial
+    derivative in a partial contraction, and the same steps on absolute
+    values, carried along as a second row, give the scales. Elementwise
+    products only, no BLAS call: a row's bits do not depend on its batch."""
+    # entry 8i + 4j + 2k + l of each row; (a, b, c, d) and their absolute values
+    T = np.stack([T, np.abs(T)], axis=-3).reshape(T.shape[:-2] + (2, 16))
+    a, b, c, d = np.moveaxis(np.stack([x, np.abs(x)], axis=-2)[..., None], -2, 0)
+    U = T[..., 0::2] * d + T[..., 1::2]  # 4i + 2j + k
+    V = U[..., 0::2] * c + U[..., 1::2]  # 2i + j
+    W = V[..., 0::2] * b + V[..., 1::2]  # i
+    Uc = U[..., 0::4] * b + U[..., 2::4]  # i, at the coefficient of c
+    Td = T[..., 0::4] * c + T[..., 2::4]  # 2i + j, at the coefficient of d
+    Td = Td[..., 0::2] * b + Td[..., 1::2]
+    g = np.concatenate([W[..., :1], V[..., :1] * a + V[..., 2:3], Uc[..., :1] * a + Uc[..., 1:],
+                        Td[..., :1] * a + Td[..., 1:]], axis=-1)
+    F = W[..., 0] * a[..., 0] + W[..., 1]
+    return F[..., 0], g[..., 0, :], F[..., 1], g[..., 1, :]
+
+
 def epipolar_residual(tensor, u, v, normalized=True):
     """Multilinear form evaluated on a correspondence; ~0 when consistent."""
     row = np.append(as_array(u, (3,), "image point u"), as_array(v, (3,), "image point v"))

@@ -206,11 +206,6 @@ def join_points(x, y):
                  "coincident points do not span a line")
 
 
-def line_from_primal(L):
-    """Extract Plucker coordinates from an antisymmetric primal matrix."""
-    return as_array(L, (4, 4), "primal matrix")[_I, _J]
-
-
 def line_star(l):
     """Dual Plucker coordinates: swap the (l41,l42,l43) and (l23,l31,l12) halves."""
     return as_vector(l, 6, "line")[_STAR]

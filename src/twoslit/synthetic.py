@@ -14,15 +14,13 @@ import numpy as np
 from . import golden
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _images, _rig, _stack
-from .epipolar import _EPSILON, _as_correspondences, _factors
+from .epipolar import _EPSILON, _as_correspondences, _factors, _form, _tensors
 from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, _count, as_array, as_vector
 from .projective import pow2_scaled
 
 RNG_ALGORITHM = "numpy-PCG64"
-STEP_TOL = 1e-12  # a point stops refining after trying a shorter step
-MAX_PASSES = 50  # residual evaluations per point after the start, at most
+MAX_PASSES = 50  # optimal-correction passes per triangulated point, at most
 MAGNIFICATION_RANGE = (0.5, 4.0)  # of random_calibrated_cameras
-_POWER_STEPS = 2  # inverse-iteration steps of a triangulated point's start
 
 
 def reference_camera_pair():
@@ -164,76 +162,46 @@ def generate_scene(config=SceneConfig(), cameras=None):
     )
 
 
-def _linearize(ND, t, x):
-    """Residuals (N.x)/(D.x) - t of (m, 4) points through their own
-    numerator rows N and denominator rows D, stacked as ND (m, 8, 4), inf
-    where a point images at infinity, and the row products nd = ND x
-    (m, 8) that _jacobians takes. The products are an einsum, not a BLAS
-    call: a row's bits do not depend on how many rows share the call."""
-    nd = np.einsum("mij,mj->mi", ND, x)
-    num, den = nd[:, :4], nd[:, 4:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(np.abs(den) > ROUNDOFF * np.hypot(num, den), num / den - t, np.inf)
-    return r, nd
-
-
-def _jacobians(ND, nd):
-    """(m, 4, 4) Jacobians of the residuals of _linearize at the points
-    whose row products are nd."""
-    num, den = nd[:, :4], nd[:, 4:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (ND[:, :4] * den[..., None] - ND[:, 4:] * num[..., None]) / (den ** 2)[..., None]
-
-
-def _gauss_newton_steps(J, r, x):
-    """Least-squares solutions of J s = -r by one batched 4x4 solve. As
-    J x = 0 at the unit points x, t x x^T (t = trace J^T J) pins the free
-    direction of the normal matrix: for J of rank 3 the step is pinv's,
-    tangent at x. A determinant factoring to <= 0 marks lower rank; a
-    ridge of ROUNDOFF t (TINY for J = 0) there keeps the solve regular."""
-    Jt = J.transpose(0, 2, 1)
-    A = Jt @ J
-    t = np.trace(A, axis1=1, axis2=2)
-    A += t[:, None, None] * x[:, :, None] * x[:, None, :]
-    A += np.where(np.linalg.det(A) <= 0, ROUNDOFF * t + TINY, 0.0)[:, None, None] * np.eye(4)
-    return -np.linalg.solve(A, Jt @ r[..., None])[..., 0]
-
-
 def _start_points(planes, D):
-    """Unit start points of (m, 4, 4) unit planes: two of camera A, whose
-    denominator rows are D (m, 2, 4), then two of camera B. A point whose
-    planes give no start point gets NaN.
-
-    Contracting the outer product of one camera's planes with the
-    Levi-Civita symbol gives the 4x4 matrix of its ray; times a plane of
-    the other camera it gives the point where those three planes meet.
-    The four meets are the rows of C = det(P) P^-T up to sign. A point
-    starts at the longest meet and takes _POWER_STEPS steps x <- C^T C x:
-    as C^T C = det(P)^2 (P^T P)^-1, that is inverse iteration without a
-    solve, and the row signs cancel."""
+    """Unit points of (m, 4, 4) unit planes, two of camera A, then two of
+    camera B, that meet in one point; NaN where they give none. D holds
+    camera A's denominator rows, (..., 2, 4) over the m points. The meets
+    of three planes, a camera's ray (its planes contracted with the
+    Levi-Civita symbol) times a plane of the other, are the rows of
+    C = det(P) P^-T up to sign; a point is the longest after one step
+    x <- C^T C x, inverse iteration as C^T C = det(P)^2 (P^T P)^-1."""
     pairs = planes.reshape(-1, 2, 2, 4)
     outer = (pairs[:, :, 0, :, None] * pairs[:, :, 1, None, :]).reshape(-1, 2, 16)
     rays = (outer @ _EPSILON).reshape(-1, 2, 4, 4)
     C = (pairs[:, ::-1] @ rays).reshape(-1, 4, 4)
-    rows = np.arange(len(C)), np.argmax(np.einsum("nij,nij->ni", C, C), axis=1)
-    longest = np.linalg.norm(C[rows], axis=1)
-    # Planes of rank 2, such as one camera used twice gives, leave only
-    # rounding in C, and every point of camera A's ray is exact. The ray
-    # meets each slit where it meets that slit's plane in D; the point
-    # halfway between those two stands in for every meet, as neither
-    # denominator vanishes there.
-    flat = longest < ROUNDOFF
+    lengths = np.einsum("nij,nij->ni", C, C)
+    rows = np.arange(len(C)), np.argmax(lengths, axis=1)
+    # Planes of rank 2 (one camera used twice) leave only rounding in C;
+    # every point of camera A's ray is exact, and the one halfway between
+    # its meets with the two slits keeps both denominators off zero.
+    flat = lengths[rows] < ROUNDOFF ** 2
     if np.any(flat):
-        slits = np.einsum("nij,nkj->nik", rays[flat, 0], D[flat])
+        slits = np.einsum("nij,nkj->nik", rays[flat, 0], D[flat.reshape(D.shape[:-2])])
         C[flat] = np.sum(slits / np.linalg.norm(slits, axis=1, keepdims=True), axis=2)[:, None]
-        longest[flat] = np.linalg.norm(C[flat, 0], axis=1)
-    # entries at most 1 and a row of length 1, so |C^T C x| >= |C x|^2 >= 1
-    C /= np.where(longest > TINY, longest, np.nan)[:, None, None]
-    x = C[rows]
-    for _ in range(_POWER_STEPS):
-        x = np.einsum("nki,nk->ni", C, np.einsum("nki,ni->nk", C, x))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x
+    # the longest meet is at least ROUNDOFF long, so the step cannot underflow
+    x = np.einsum("nki,nk->ni", C, np.einsum("nki,ni->nk", C, C[rows]))
+    norms = np.sqrt(np.einsum("ni,ni->n", x, x))[:, None]
+    return x / np.where(norms > TINY, norms, np.nan)
+
+
+def _correction(T, x, x0):
+    """One optimal-correction pass of points x0 onto the hypersurfaces
+    F = 0 of tensors T from x: x0 - [F + grad F . (x0 - x)] grad F /
+    |grad F|^2, or x where grad F is zero within rounding; grad F, zeroed
+    there; where F and grad F are at rounding; F's rounding in image units."""
+    F, g, scale, scales = _form(T, x)
+    gg = np.einsum("...i,...i->...", g, g)
+    flat = gg <= ROUNDOFF ** 2 * np.einsum("...i,...i->...", scales, scales)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new = x0 - ((F + np.einsum("...i,...i->...", g, x0 - x)) / gg)[..., None] * g
+        if np.any(flat):
+            new[flat], g[flat] = np.broadcast_to(x, new.shape)[flat], 0.0
+        return new, g, np.abs(F) <= ROUNDOFF * scale, flat, scale / np.sqrt(gg)
 
 
 def _triangulate(R, correspondences):
@@ -241,88 +209,68 @@ def _triangulate(R, correspondences):
     correspondences through every camera pair of a (c, 2, 2, 2, 4) stack
     R, and the DegeneracyError of configuration j, the first that fails,
     or None where j = c: the configurations that triangulating one pair
-    after another would finish. All c n points share one _start_points
-    call, and only those whose start cost is above rounding a first
-    _gauss_newton_steps; then per pass one _linearize of the live points
-    and at most one _gauss_newton_steps, for the points that won their
-    trial and go on.
-    """
+    after another would finish."""
     # each (z, w) pair to a largest entry in [0.5, 1) by an exact power
-    # of two, which neither its unit plane nor t = z / w sees
+    # of two, which t = z / w does not see
     zw = pow2_scaled(_factors(_as_correspondences(correspondences)), axis=2)
     c, n = len(R), zw.shape[1]
     if c and np.any(np.abs(zw[..., 1]) <= ROUNDOFF * np.abs(zw[..., 0])):
         return np.empty((0, n, 4)), np.empty((0, n, 4)), DegeneracyError(
             "a measured image point lies at infinity")
-    z, w = np.tile(zw.transpose(2, 1, 0), (1, c, 1))
-    # the numerator rows of u1, u2, v1, v2 of every point, then their denominator rows
-    ND = np.repeat(R.transpose(0, 3, 1, 2, 4).reshape(c, 8, 4), n, axis=0)
-    planes = w[..., None] * ND[:, :4] - z[..., None] * ND[:, 4:]
-    planes /= np.linalg.norm(planes, axis=2, keepdims=True)
-    x = _start_points(planes, ND[:, 4:6])
-    t = z / w
-    r, nd = _linearize(ND, t, x)
-    failed = np.flatnonzero(~np.all(np.isfinite(r), axis=1))
-    j = failed[0] // n if failed.size else c
-    error = None if j == c else DegeneracyError(
-        "the image planes of a point give no start point" if np.isnan(x[j * n:(j + 1) * n]).any()
-        else "triangulated point projects to infinity")
-    m = j * n
-    ND, t, x, r = ND[:m], t[:m], x[:m], r[:m]
-    cost = np.sum(r * r, axis=1)
-    # a start cost within rounding of its residuals, the rounding scale
-    # of `settled` below, is one no step can move: its point ends here
-    live = np.flatnonzero(cost > ROUNDOFF * np.sum(np.abs(t) * np.abs(r), axis=1))
-    step = np.empty((m, 4))
-    if live.size:
-        step[live] = _gauss_newton_steps(_jacobians(ND[live], nd[live]), r[live], x[live])
-    length = np.ones(m)
-    for _ in range(MAX_PASSES):
+    x0 = (zw[..., 0] / zw[..., 1]).T
+    T = pow2_scaled(_tensors(R), axis=(1, 2))
+    # Every point takes the Sampson pass; those off rounding go on until a
+    # step is within ROUNDOFF (|x0| + F's rounding in image units), which
+    # F's rounding never reaches. A step turning back on the last, at a
+    # ratio rho < 0, oscillates: 1 / (1 - rho) of it lands on the foot point.
+    x, g, level, flat, _ = _correction(T[:, None], x0, x0)
+    failed = flat & ~level  # no gradient off the hypersurface
+    x, g = x.reshape(-1, 4), g.reshape(-1, 4)
+    live = np.flatnonzero(~(level | flat))
+    last = x[live] - x0[live % n]
+    for _ in range(MAX_PASSES - 1):
         if not live.size:
             break
-        tried = length[live] * np.linalg.norm(step[live], axis=1)
-        trial = x[live] + length[live, None] * step[live]
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        rt, ndt = _linearize(ND[live], t[live], trial)
-        ct = np.sum(rt * rt, axis=1)
-        # a finite trial cost within rounding of the cost ends the point
-        with np.errstate(invalid="ignore"):  # 0 inf: t = 0 where a trial images at infinity
-            rounding = ROUNDOFF * np.sum(np.abs(t[live]) * (np.abs(r[live]) + np.abs(rt)), axis=1)
-        settled = (ct < np.inf) & (np.abs(ct - cost[live]) <= rounding)
-        stays = (tried >= STEP_TOL) & ~settled
-        better = ct < cost[live]
-        won = live[better]
-        x[won], r[won], cost[won] = trial[better], rt[better], ct[better]
-        length[won] = 1.0
-        length[live[~better]] *= 0.5
-        go = better & stays
-        if np.any(go):
-            step[live[go]] = _gauss_newton_steps(
-                _jacobians(ND[live[go]], ndt[go]), rt[go], trial[go])
-        live = live[stays]
-    return x.reshape(j, n, 4), r.reshape(j, n, 4), error
+        previous, start = x[live], x0[live % n]
+        new, g[live], level, flat, blur = _correction(T[live // n], previous, start)
+        failed.reshape(-1)[live] |= flat & ~level
+        step = new - previous
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.fmin(np.einsum("ij,ij->i", step, last) / np.einsum("ij,ij->i", last, last), 0)
+        step /= (1 - rho)[:, None]
+        x[live] = previous + step
+        go = ~flat & (np.linalg.norm(step, axis=1) > ROUNDOFF * (np.linalg.norm(start, axis=1) + blur))
+        live, last = live[go], step[go]
+    x, g = x.reshape(c, n, 4), g.reshape(c, n, 4)
+    # the numerator rows of u1, u2, v1, v2 of every configuration, then their denominator rows
+    ND = R.transpose(0, 3, 1, 2, 4).reshape(c, 1, 8, 4)
+    planes = ND[:, :, :4] - x[..., None] * ND[:, :, 4:]
+    planes /= np.sqrt(np.einsum("...i,...i->...", planes, planes))[..., None]
+    X = _start_points(planes.reshape(-1, 4, 4), np.broadcast_to(ND[:, :, 4:6], (c, n, 2, 4)))
+    num, den = np.split(np.einsum("cij,cnj->cni", ND[:, 0], X.reshape(c, n, 4)), 2, axis=2)
+    bad = failed | ~np.all(np.abs(den) > ROUNDOFF * np.hypot(num, den), axis=2)
+    j = int(np.argmax(bad.any(axis=1))) if bad.any() else c
+    error = None if j == c else DegeneracyError(
+        "the epipolar form has no gradient at a point off its hypersurface" if failed[j].any()
+        else "the image planes of a point give no start point" if np.isnan(X[j * n:(j + 1) * n]).any()
+        else "triangulated point projects to infinity")
+    # The last step takes F(x) = grad F . (x - p) from the reprojection p on
+    # F = 0: the residual is the part of p - x0 along grad F, which the
+    # point's rounding, moving p along F = 0, leaves alone.
+    g, gg = g[:j], np.einsum("...i,...i->...", g[:j], g[:j])[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normal = -np.einsum("...i,...i->...", g, x0 - num[:j] / den[:j])[..., None] / gg * g
+    return X[:j * n].reshape(j, n, 4), np.where(gg > 0, normal, x[:j] - x0), error
 
 
 def triangulate_points(camA, camB, correspondences):
     """Unit homogeneous points (n, 4) of (n, 6) correspondences, and
-    their residuals (n, 4): reprojected minus measured u1/u3, u2/u3,
-    v1/v3 and v2/v3. This is _triangulate on a stack of one camera pair.
-
-    Each image coordinate fixes a plane through the point, such as
-    u3 p1 - u1 p2 for u1/u3. A point starts near the least-squares common
-    point of its four unit planes, from the points where three of them
-    meet (_start_points, no factorization), exact for noiseless data.
-    A point whose start cost sum r^2 is at most ROUNDOFF sum |t| |r| over
-    its measured ratios t is at rounding, where no step can move it: it
-    keeps its start. Gauss-Newton on the unit sphere refines the others
-    at once, one batched 4x4 solve per pass, halving a point's step until
-    it lowers the residual. A point stops after trying a step shorter
-    than STEP_TOL or once a trial changes its cost by no more than
-    rounding, ROUNDOFF sum |t| (|r| + |r_trial|); only points that go on
-    get a Jacobian and a new step. Every product is per point, the
-    residual rows by einsum rather than BLAS, so a point's bits do not
-    depend on its batch.
-    """
+    their residuals (n, 4) in image units: corrected minus measured u1/u3,
+    u2/u3, v1/v3 and v2/v3. The correction, by iterative optimal
+    correction, is the closest point on the hypersurface F = 0 of the
+    cameras' own epipolar tensor, where correspondences image 3D points; the
+    point is the meet of the corrected image planes. A zero gradient of F
+    off its hypersurface raises DegeneracyError. _triangulate on one pair."""
     x, r, error = _triangulate(_stack((camA, camB))[None], correspondences)
     if error is not None:
         raise error
@@ -353,8 +301,8 @@ def _rms(r):
 
 
 def reprojection_rms(camA, camB, correspondences):
-    """RMS of reprojected-minus-measured inhomogeneous image coordinates
-    of the points triangulate_points finds."""
+    """RMS of the residuals of triangulate_points: corrected minus
+    measured inhomogeneous image coordinates."""
     return _rms(triangulate_points(camA, camB, correspondences)[1])
 
 

@@ -138,6 +138,27 @@ class TestSfmRunner:
         assert first["minor_matrix"] != second["minor_matrix"]
         assert min(first["camera_gap"], second["camera_gap"]) < 5e-3
 
+    def test_a_point_far_off_the_start_is_still_corrected(self):
+        """Seed 1229: both configurations, 1.5e-3 and 1.2e-2 from the true
+        cameras, explain every point to the noise level; a Gauss-Newton
+        triangulation left one point at cost 7e5 and both RMS values at
+        50."""
+        report = run_sfm_experiment(SceneConfig(n_points=70, noise_sigma=1e-4, seed=1229,
+                                                image_scale=100))
+        assert report.ok, report.error
+        assert all(c["reprojection_rms"] < 1e-2 for c in report.configurations)
+
+    @pytest.mark.parametrize("n, seed", [(70, 3688658734), (280, 1778965564)])
+    def test_a_point_near_a_denominator_plane_reprojects_exactly(self, n, seed):
+        """Noiseless scenes with a point within 5e-8 relative of a
+        denominator plane, where one ulp of a float 3D point moves its
+        image by 3.6e-7: the correction never forms that point, so the
+        equivalent configuration's RMS stays at rounding."""
+        report = run_sfm_experiment(SceneConfig(n_points=n, noise_sigma=0.0, seed=seed,
+                                                image_scale=100))
+        assert report.ok, report.error
+        assert report.configurations[report.equivalent_configuration]["reprojection_rms"] < 1e-9
+
     def test_to_dict_is_a_separate_asdict(self):
         report = run_sfm_experiment(SceneConfig(n_points=20, seed=1))
         d = report.to_dict()

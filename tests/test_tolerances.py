@@ -13,7 +13,7 @@ import twoslit
 
 SRC = Path(twoslit.__file__).resolve().parent
 # algorithm constants that share a value with a table level
-ALGORITHM_CONSTANTS = {("synthetic.py", "STEP_TOL"), ("selfcal.py", "DEGENERACY_TOL")}
+ALGORITHM_CONSTANTS = {("selfcal.py", "DEGENERACY_TOL")}
 NOISE_CONFIGS = {"SceneConfig", "SelfcalConfig"}
 
 
