@@ -48,15 +48,17 @@ def _cleared(M, tol):
     return 4.0 * np.abs(d) > tol * F * F
 
 
-def _rank_ratio(M, tol):
-    """s4 / s1 of a 4x4 matrix, or None where _cleared proves it exceeds
-    tol. Both run on the pow2_scaled copy, as no scale of M changes
-    s4 / s1; the caller compares the ratio with its own threshold."""
-    M = pow2_scaled(M)
-    if _cleared(M, tol):
-        return None
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[3] / max(s[0], TINY)
+def _singular(M, tol):
+    """Where a (..., 4, 4) stack of unit scale, as _cleared takes it, has
+    s4 <= tol * s1: _cleared clears what it can, and one batched SVD
+    decides the rest. Every 4x4 rank test runs here: _check_rig passes
+    its unit pairs, a single matrix M passes pow2_scaled(M)[None], as no
+    scale of M changes s4 / s1."""
+    bad = ~_cleared(M, tol)
+    if bad.any():
+        s = np.linalg.svd(M[bad], compute_uv=False)
+        bad[bad] = s[:, 3] <= tol * s[:, 0]
+    return bad
 
 
 def _check_rig(A):
@@ -67,8 +69,7 @@ def _check_rig(A):
     singular too (the stack's s4 is at most the pair's s2, its s1 at
     least the pair's s1), so the stacks decide for the whole rig; a
     camera with a non-finite entry enters as zeros and fails, as does a
-    zero pair. One batched determinant clears the stacks it can
-    (_cleared), and one batched SVD decides s4 <= TOL * s1 for the rest.
+    zero pair. _singular decides s4 <= TOL * s1 for all stacks at once.
     Only the first failing camera gets the per-pair checks that name the
     fault; the error's `camera` is its index."""
     if A.ndim != 4 or A.shape[1:] != (2, 2, 4):
@@ -79,14 +80,10 @@ def _check_rig(A):
     B = pow2_scaled(B, axis=(2, 3))  # so that no squared norm overflows or underflows
     norms = np.sqrt((B * B).sum(axis=(2, 3), keepdims=True))
     U = (B / np.maximum(norms, TINY)).reshape(-1, 4, 4)
-    rest = np.flatnonzero(~_cleared(U, TOL))
-    if not len(rest):
-        return
-    s = np.linalg.svd(U[rest], compute_uv=False)
-    bad = s[:, 3] <= TOL * s[:, 0]
+    bad = _singular(U, TOL)
     if not bad.any():
         return
-    i = int(rest[np.argmax(bad)])
+    i = int(np.argmax(bad))
     finite = np.isfinite(A[i]).all(axis=(1, 2))
     s = np.linalg.svd(np.where(finite[:, None, None], A[i], 0.0), compute_uv=False)
     faults = ([f"{name} has non-finite entries" for name, f in zip(("A1", "A2"), finite) if not f]
@@ -404,8 +401,7 @@ def decompose_pushbroom(camera):
 def apply_space_transform(camera, H):
     """Camera watching the scene moved by x -> H x (right-composes H^-1)."""
     H = as_array(H, (4, 4), "space transform")
-    s = np.linalg.svd(H, compute_uv=False)
-    if s[3] <= ZERO_TOL * s[0]:
+    if _singular(pow2_scaled(H)[None], ZERO_TOL)[0]:
         raise ValidationError("space transform is singular")
     Hinv = np.linalg.inv(H)
     return TwoSlitCamera(camera.A1 @ Hinv, camera.A2 @ Hinv)

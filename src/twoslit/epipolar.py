@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .cameras import _rig, _stack
+from .cameras import _rig, _singular, _stack
 from .projective import FIT_TOL, ROUNDOFF, TINY, TOL, ZERO_TOL
-from .projective import _gaps, as_array, negligible, pow2_scaled
+from .projective import _EPSILON, _gaps, as_array, negligible, pow2_scaled
 
 MIN_CORRESPONDENCES = 15
 # the binary exponent the estimator gives a zero: nonzero floats have
@@ -79,15 +79,6 @@ def tensors_equal(t1, t2, tol=TOL):
     return tensor_gap(t1, t2) < tol
 
 
-def _levi_civita():
-    """The 4-index Levi-Civita symbol, rows (i, j), columns (k, l)."""
-    eps = np.zeros((4, 4, 4, 4))
-    for p in itertools.permutations(range(4)):
-        eps[p] = (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
-    return eps.reshape(16, 16)
-
-
-_EPSILON = _levi_civita()
 _ROW_SIGNS = np.array([[1.0], [-1.0]])
 _FACTOR_COLUMNS = np.array([0, 2, 1, 2, 3, 5, 4, 5])
 
@@ -102,7 +93,8 @@ def _row_products(R):
 def _tensors(R):
     """(k, 4, 4) entries of the tensors of a (k, 2, 2, 2, 4) stack of
     camera pairs: the 16 stacked-row determinants of each as one
-    contraction of the Levi-Civita symbol with the row products."""
+    contraction of the Levi-Civita symbol, which projective builds from
+    its line tables, with the row products."""
     P, Q = _row_products(R.reshape(-1, 2, 2, 4)).reshape(-1, 2, 4, 16).swapaxes(0, 1)
     return P @ _EPSILON @ Q.swapaxes(1, 2)
 
@@ -405,8 +397,7 @@ def normal_form_transform(camA, camB):
     an exact recovery lands on the cameras themselves up to row scales.
     """
     first, second = _stack((camA, camB)).transpose(2, 0, 1, 3).reshape(2, 4, 4)
-    s = np.linalg.svd(first, compute_uv=False)
-    if s[-1] < ZERO_TOL * s[0]:
+    if _singular(pow2_scaled(first)[None], ZERO_TOL)[0]:
         raise DegeneracyError("the four leading camera rows are linearly dependent")
     C0 = second @ np.linalg.inv(first)
     if np.min(np.abs(C0[0, 1:])) < ZERO_TOL * np.max(np.abs(C0)):
@@ -451,7 +442,9 @@ def _calibrations(*Ks):
     out = []
     for K, name in zip(Ks, ("K1A", "K2A", "K1B", "K2B")):
         K = as_array(K, (2, 2), name)
-        if negligible(np.linalg.det(K), max(np.linalg.norm(K) ** 2, TINY), ZERO_TOL):
+        with np.errstate(divide="ignore"):  # a zero pivot flags it, and det is then 0
+            det = np.linalg.det(K)
+        if negligible(det, max(np.linalg.norm(K) ** 2, TINY), ZERO_TOL):
             raise ValidationError(f"{name} is singular")
         out.append(K)
     return out

@@ -198,8 +198,7 @@ def run_selfcal_experiment(config=SelfcalConfig()):
                 Q = rng.normal(size=(4, 4))
         else:
             Q = as_array(config.q_matrix, (4, 4), "q_matrix")
-            ratio = cameras._rank_ratio(Q, TOL)
-            if ratio is not None and ratio <= TOL:
+            if cameras._singular(pow2_scaled(Q)[None], TOL)[0]:
                 raise ValidationError("q_matrix must be an invertible 4x4 matrix")
         report.q_true = Q.tolist()
         Q = pow2_scaled(Q)  # exact: no result below sees the frame's scale

@@ -149,6 +149,12 @@ def _wedge(a, b):
     return np.ascontiguousarray(a[..., _I] * b[..., _J] - b[..., _I] * a[..., _J])
 
 
+# the 4-index Levi-Civita symbol, rows (i, j), columns (k, l), is minus the
+# pairing of the joins of unit points e_i, e_j and e_k, e_l; 0.0 - keeps zeros +0.0
+_JOINS = _wedge(np.eye(4)[:, None], np.eye(4)).reshape(16, 6)
+_EPSILON = 0.0 - _JOINS @ _JOINS[:, _STAR].T
+
+
 def _primal(l):
     """(..., 4, 4) primal matrices of (..., 6) lines; L @ w meets l with w.
     np.take returns them in C order, where l[..., _PRIMAL] does not, and

@@ -14,9 +14,9 @@ import numpy as np
 from . import golden
 from .errors import DegeneracyError, ValidationError
 from .cameras import TwoSlitCamera, _images, _rig, _stack
-from .epipolar import _EPSILON, _as_correspondences, _factors, _form, _tensors
+from .epipolar import _as_correspondences, _factors, _form, _tensors
 from .projective import COARSE_TOL, ROUNDOFF, TINY, ZERO_TOL, _count, as_array, as_vector
-from .projective import pow2_scaled
+from .projective import _EPSILON, pow2_scaled
 
 RNG_ALGORITHM = "numpy-PCG64"
 MAX_PASSES = 50  # optimal-correction passes per triangulated point, at most

@@ -11,9 +11,9 @@ from twoslit.cameras import (
     TwoSlitCamera,
     _check_rig,
     _cleared,
-    _rank_ratio,
     _images,
     _rig,
+    _singular,
     _stack,
     apply_space_transform,
     base_line,
@@ -691,10 +691,14 @@ def test_near_intersecting_slits_are_decided_by_determinant_or_svd(eps, cleared,
 @pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
 @pytest.mark.parametrize("last, ratio", [(1e-8, None), (2e-9, 2e-9), (1e-10, 1e-10), (0.0, 0.0)])
 def test_rank_ratio_is_none_only_where_the_determinant_clears(scale, last, ratio):
-    """_rank_ratio gives the SVD's s4/s1 at any scale unless the
-    determinant proves it above tol: 4 |det| > tol F^2 with F = 3."""
-    r = _rank_ratio(np.diag([1.0, 1, 1, last]) * scale, TOL)
-    if ratio is None:
-        assert r is None
-    else:
-        assert r == pytest.approx(ratio, rel=1e-9, abs=0.0)
+    """_singular gives the SVD's verdict s4 <= tol * s1 at any scale, and
+    runs the SVD only where the determinant cannot prove s4 > tol * s1,
+    4 |det| > tol F^2 with F = 3; ratio None marks the cleared matrix."""
+    M = np.diag([1.0, 1, 1, last]) * scale
+    with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+        singular = _singular(pow2_scaled(M)[None], TOL)
+    assert svd.called == (ratio is not None)
+    s = np.linalg.svd(M, compute_uv=False)
+    assert singular.tolist() == [s[3] <= TOL * s[0]]
+    if ratio is not None:
+        assert s[3] / s[0] == pytest.approx(ratio, rel=1e-9, abs=0.0)

@@ -460,16 +460,28 @@ class TestEssential:
         with pytest.raises(ValidationError, match="singular"):
             essential_decompose(t, bad, np.eye(2), np.eye(2), np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("operation", [essential_decompose, essential_compose])
+    def test_subnormal_singular_calibration_rejected_without_warning(
+            self, reference_pair, operation):
+        """A calibration whose only pivot is subnormal is singular, and
+        its determinant's zero pivot raises no divide warning."""
+        t = tensor_from_cameras(*reference_pair)
+        bad = np.array([[0.0, 0.0], [5e-324, 1.0]])
+        with pytest.raises(ValidationError, match="^K1A is singular$"):
+            operation(t, bad, np.eye(2), np.eye(2), np.eye(2))
+
 
 @st.composite
 def nonsingular_2x2(draw):
     entries = st.floats(-5.0, 5.0, allow_nan=False)
     K = np.array([[draw(entries), draw(entries)],
                   [draw(entries), draw(entries)]])
-    if abs(np.linalg.det(K)) < 0.05:
-        K = K + np.eye(2)
-    if abs(np.linalg.det(K)) < 0.05:
-        K = np.eye(2) * 2.0
+    with np.errstate(divide="ignore"):  # a subnormal pivot: det is then about 0
+        if abs(np.linalg.det(K)) < 0.05:
+            K = K + np.eye(2)
+        if abs(np.linalg.det(K)) < 0.05:
+            K = np.eye(2) * 2.0
     return K
 
 

@@ -582,6 +582,32 @@ def test_a_failing_camera_check_keeps_the_configurations_before_it(monkeypatch):
                      "recovered configuration 1 fails the camera check: slits intersect")
 
 
+def test_a_moved_pair_failing_its_camera_check_keeps_the_configurations_before_it(
+        monkeypatch):
+    """The normal forms pass their camera check, and configuration 1's
+    pair moved into the truth frame fails its own: configuration 0 is
+    reported in full, and the error is the moved pair's, as given."""
+    from twoslit import cameras
+
+    reference = run_sfm_experiment(CONFIG_70)
+    checked = []
+
+    def moved_pair_fails(A, _check=cameras._check_rig):
+        _check(A)
+        checked.append(len(A))
+        if checked[1:] == [4, 4]:  # the scene's rig, the normal forms, the moved pairs
+            error = ValidationError("slits intersect: the moved pair")
+            error.camera = 2
+            raise error
+    monkeypatch.setattr(cameras, "_check_rig", moved_pair_fails)
+    report = run_sfm_experiment(CONFIG_70)
+    assert checked == [2, 4, 4]
+    assert not report.ok and report.error_kind == "validation"
+    assert report.error == "slits intersect: the moved pair"
+    assert report.configurations == reference.configurations[:1]
+    assert "reprojection_rms" in report.configurations[0]
+
+
 def test_a_failing_triangulation_keeps_the_configurations_before_it(monkeypatch):
     """Configuration 1 failing in the triangulation both share leaves
     configuration 0 with the reprojection RMS it has alone."""

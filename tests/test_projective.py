@@ -1,5 +1,7 @@
 """Joins, meets and retinal frames on homogeneous coordinates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from twoslit.errors import ValidationError
 from twoslit.projective import (
+    _EPSILON,
     RetinalFrame,
     _gaps,
     as_vector,
@@ -90,6 +93,16 @@ def test_plucker_pairing_symmetric(rng):
     l = join_points(rng.normal(size=4), rng.normal(size=4))
     m = join_points(rng.normal(size=4), rng.normal(size=4))
     assert plucker_pairing(l, m) == pytest.approx(plucker_pairing(m, l))
+
+
+def test_levi_civita_symbol_from_the_line_tables_is_the_permutation_parity():
+    """_EPSILON, built as minus the pairing of two joins of unit points,
+    is the 4-index Levi-Civita symbol bit for bit: the parity of each
+    permutation, and +0.0 off the permutations."""
+    eps = np.zeros((4, 4, 4, 4))
+    for p in itertools.permutations(range(4)):
+        eps[p] = (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+    assert _EPSILON.tobytes() == eps.reshape(16, 16).tobytes()
 
 
 def test_lines_meet_iff_coplanar():

@@ -656,7 +656,7 @@ class TestTriangulationStart:
 def test_triangulation_factorizes_only_its_start(monkeypatch):
     """One triangulate_points call on a noisy scene makes no SVD, not even
     for its start, and no pseudo-inverse, however many passes its
-    Gauss-Newton refinement takes."""
+    optimal correction takes."""
     scene = generate_scene(SceneConfig(n_points=50, noise_sigma=1e-3, seed=2, image_scale=100))
     calls = {"svd": 0, "pinv": 0}
     for name in calls:
